@@ -9,7 +9,8 @@
 //                   coordinator; the tree shapes are the scaling ablation,
 //                   twolevel takes an optional group size G, 0 = auto)
 //   --block=<b>     coherence block size in bytes (default 128)
-//   --app=<name>    restrict to one application
+//   --app=<name>    restrict to one application (a paper-suite app from
+//                   apps::registry() or spmv; anything else exits 2)
 //   --jobs=<n>      host threads for independent runs (default 1; results
 //                   are byte-identical at any job count)
 //   --plan-cache=<0|1>  host-side comm-plan caching (default 1; simulated
@@ -48,6 +49,7 @@
 // independent simulations out over exec::BatchRunner's thread pool.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -148,7 +150,10 @@ struct BenchConfig {
       std::fprintf(stderr, "fgdsm: --plan-cache-misses must be >= 1\n");
       std::exit(2);
     }
-    if (o.has("app")) c.only_app = o.get("app");
+    if (o.has("app")) {
+      c.only_app = o.get("app");
+      check_app(*c.only_app);
+    }
     c.per_loop = o.get_bool("per-loop");
     if (o.has("json")) c.json_path = o.get("json");
     if (o.has("trace")) c.trace_path = o.get("trace");
@@ -204,6 +209,26 @@ struct BenchConfig {
 
   bool selected(const std::string& app) const {
     return !only_app || *only_app == app;
+  }
+
+  // An --app naming no workload would filter every run out and print empty
+  // tables: reject it (exit 2) with a did-you-mean suggestion, like flags.
+  static void check_app(const std::string& app) {
+    std::vector<std::string> known;
+    for (const auto& a : apps::registry()) known.push_back(a.name);
+    known.push_back("spmv");  // irregular workload, outside the paper suite
+    if (std::find(known.begin(), known.end(), app) != known.end()) return;
+    const std::string suggestion = util::Options::closest_match(app, known);
+    if (suggestion.empty()) {
+      std::string list;
+      for (const auto& k : known) list += (list.empty() ? "" : ", ") + k;
+      std::fprintf(stderr, "fgdsm: unknown --app=%s (known: %s)\n",
+                   app.c_str(), list.c_str());
+    } else {
+      std::fprintf(stderr, "fgdsm: unknown --app=%s (did you mean --app=%s?)\n",
+                   app.c_str(), suggestion.c_str());
+    }
+    std::exit(2);
   }
 };
 

@@ -37,9 +37,10 @@
 #                            --sim-threads={1,4} — JSON results must be
 #                            byte-identical across thread counts
 #   scripts/ci.sh tsan       TSan build of the worker-crew path: the PDES
-#                            partition/merge tests run with real threads on
-#                            plain callables (no ucontext fibers — TSan
-#                            cannot track fiber stack switches)
+#                            partition/merge tests and the plan-store
+#                            hammer tests run with real threads on plain
+#                            callables (no ucontext fibers — TSan cannot
+#                            track fiber stack switches)
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -291,9 +292,11 @@ case "$job" in
     echo "simthreads: results byte-identical at --sim-threads={1,4}"
     ;;
   tsan)
-    # ThreadSanitizer over the worker crew + outbox merge. Only the PDES
-    # partition tests run: they exercise the full windowed machinery
-    # (barrier, cross-partition merge, budget) with plain callables. The
+    # ThreadSanitizer over the worker crew + outbox merge and the run's
+    # shared plan store. Only plain-thread tests run: the PDES partition
+    # tests exercise the full windowed machinery (barrier, cross-partition
+    # merge, budget) with plain callables, and the PlanStoreThreads tests
+    # hammer concurrent plan-store lookups from std::threads. The
     # fiber-based suites stay out — TSan cannot follow ucontext stack
     # switches and reports false positives on every fiber hand-off.
     cmake -B build-tsan -S . \
@@ -301,9 +304,10 @@ case "$job" in
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
-    cmake --build build-tsan -j "$jobs" --target pdes_partition_test
+    cmake --build build-tsan -j "$jobs" --target pdes_partition_test \
+      plan_store_test
     FGDSM_HOST_CORES=8 ctest --test-dir build-tsan --output-on-failure \
-      -R "PartitionMerge"
+      -R "PartitionMerge|PlanStoreThreads"
     ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \

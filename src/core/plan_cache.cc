@@ -45,35 +45,39 @@ std::vector<std::string> plan_key_symbols(const hpf::ParallelLoop& loop,
   return {syms.begin(), syms.end()};
 }
 
-std::vector<std::int64_t> PlanCache::key_of(
-    const Slot& s, const hpf::Bindings& b,
-    const std::vector<std::int64_t>& extra) {
-  std::vector<std::int64_t> key;
-  key.reserve(s.symbols.size() + extra.size());
-  for (const auto& sym : s.symbols) key.push_back(b.get(sym));
-  key.insert(key.end(), extra.begin(), extra.end());
-  return key;
+PlanCache::Slot& PlanCache::slot(const hpf::ParallelLoop& loop,
+                                 const hpf::Program& prog) {
+  auto [it, fresh] = slots_.try_emplace(&loop);
+  if (fresh) it->second.symbols = plan_key_symbols(loop, prog);
+  return it->second;
+}
+
+void PlanCache::key_into(const Slot& s, const hpf::Bindings& b,
+                         const std::vector<std::int64_t>& extra,
+                         std::vector<std::int64_t>* out) {
+  out->clear();
+  for (const auto& sym : s.symbols) out->push_back(b.get(sym));
+  out->insert(out->end(), extra.begin(), extra.end());
 }
 
 const PlanCache::Entry* PlanCache::lookup(
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const hpf::Bindings& b, const std::vector<std::int64_t>& extra_key) {
-  auto [it, fresh] = slots_.try_emplace(&loop);
-  if (fresh) it->second.symbols = plan_key_symbols(loop, prog);
-  Slot& slot = it->second;
-  if (slot.miss_streak >= give_up_after_) {  // abandoned: skip key evaluation
+  Slot& s = slot(loop, prog);
+  key_into(s, b, extra_key, &probe_);
+  if (s.miss_streak >= give_up_after_) {  // abandoned: never hits again
     ++misses_;
     return nullptr;
   }
-  if (slot.filled && slot.entry.key == key_of(slot, b, extra_key)) {
-    slot.miss_streak = 0;
+  if (s.filled && s.entry.key == probe_) {
+    s.miss_streak = 0;
     ++hits_;
-    return &slot.entry;
+    return &s.entry;
   }
   ++misses_;
-  if (++slot.miss_streak >= give_up_after_) {
-    slot.entry = Entry{};  // free the storage; the loop will never hit
-    slot.filled = false;
+  if (++s.miss_streak >= give_up_after_) {
+    s.entry = Entry{};  // free the storage; the loop will never hit
+    s.filled = false;
   }
   return nullptr;
 }
@@ -85,16 +89,14 @@ bool PlanCache::should_store(const hpf::ParallelLoop& loop) const {
 
 const PlanCache::Entry& PlanCache::insert(
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
-    const hpf::Bindings& b, std::vector<hpf::Transfer> transfers,
+    const hpf::Bindings& b, std::shared_ptr<const ClusterPlan> shared,
     CommPlan plan, const std::vector<std::int64_t>& extra_key) {
-  auto [it, fresh] = slots_.try_emplace(&loop);
-  if (fresh) it->second.symbols = plan_key_symbols(loop, prog);
-  Slot& slot = it->second;
-  slot.entry.key = key_of(slot, b, extra_key);
-  slot.entry.transfers = std::move(transfers);
-  slot.entry.plan = std::move(plan);
-  slot.filled = true;
-  return slot.entry;
+  Slot& s = slot(loop, prog);
+  key_into(s, b, extra_key, &s.entry.key);
+  s.entry.shared = std::move(shared);
+  s.entry.plan = std::move(plan);
+  s.filled = true;
+  return s.entry;
 }
 
 }  // namespace fgdsm::core

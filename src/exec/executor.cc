@@ -7,6 +7,7 @@
 
 #include "src/core/plan.h"
 #include "src/core/plan_cache.h"
+#include "src/core/plan_store.h"
 #include "src/hpf/analysis.h"
 #include "src/irreg/inspector.h"
 #include "src/irreg/runtime.h"
@@ -43,6 +44,10 @@ bool transfers_eq(const std::vector<hpf::Transfer>& a,
   return true;
 }
 
+// A loop's global transfer set, shared with the run's PlanStore entry (or
+// owned alone on the re-analyze path) instead of copied per node.
+using TransferSet = std::shared_ptr<const std::vector<hpf::Transfer>>;
+
 // Per-node execution state.
 struct NodeRun {
   Node* node = nullptr;
@@ -60,13 +65,14 @@ struct NodeRun {
   std::map<std::string, std::int64_t> write_version;
   struct AvailEntry {
     std::map<std::string, std::int64_t> versions;  // per array at comm time
-    std::vector<hpf::Transfer> transfers;
+    TransferSet transfers;
   };
   std::map<const hpf::ParallelLoop*, AvailEntry> avail;
 
-  // Communication-schedule cache across loop visits (core::PlanCache):
-  // iterative apps re-run the same loops every timestep with unchanged
-  // structural symbols, so analysis + planning runs once per loop.
+  // This node's view of the run's plan store (core::PlanCache): iterative
+  // apps re-run the same loops every timestep with unchanged structural
+  // symbols, so a loop visit hits the node's own lowered plan; misses fetch
+  // the cluster's shared schedule and lower only this node's slice.
   core::PlanCache plan_cache;
 
   // The plan for the loop currently executing. This lives here — not as an
@@ -97,9 +103,10 @@ struct NodeRun {
 // availability) — restored by value so the deterministic replay makes
 // exactly the decisions the checkpointed timeline would have, keeping the
 // collective any_comm/any_flush choices aligned with the rolled-back tags.
-// The plan cache is deliberately NOT touched at restore: it is pure
-// memoization of a deterministic analysis (either path yields byte-identical
-// plans), so entries from the abandoned timeline stay valid.
+// The plan caches and the run's plan store are deliberately NOT touched at
+// restore: they are pure memoization of a deterministic analysis (either
+// path yields byte-identical plans), so entries from the abandoned timeline
+// stay valid.
 struct NodeRunSnap {
   Bindings bind;
   std::map<std::string, double> scalars;
@@ -406,11 +413,12 @@ class Executor {
     for (const auto& w : loop.writes) ++st.write_version[w.array];
   }
 
-  // The plan for this visit of `loop`. With the cache enabled, the
-  // unfiltered analysis + plan is computed once per (loop, structural-symbol
-  // values) and reused; availability filtering (elim_redundant_comm) is
-  // re-applied on every visit on top of the cached transfer set, since it
-  // depends on the live write versions. Either path yields byte-identical
+  // The plan for this visit of `loop`. With the cache enabled, the node's
+  // view decides hit or miss; a miss fetches the run's shared ClusterPlan
+  // for the visit's key (analyzed once per cluster) and lowers only this
+  // node's slice. Availability filtering (elim_redundant_comm) is
+  // re-applied on every visit on top of the shared transfer set, since it
+  // depends on the live write versions. Every path yields byte-identical
   // plans: the analysis is a pure function of the key symbols, and the
   // filter elides all-or-nothing (an elided visit's plan is exactly
   // plan_from_transfers({}) == CommPlan{}).
@@ -421,47 +429,55 @@ class Executor {
     const int me = st.node->id();
 
     if (!cfg_.opt.plan_cache) {
-      auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-      if (cfg_.opt.elim_redundant_comm)
-        transfers = filter_available(loop, st, std::move(transfers));
-      return core::plan_from_transfers(transfers, layouts_, me, bs, align);
+      const auto transfers = std::make_shared<const std::vector<hpf::Transfer>>(
+          hpf::analyze_transfers(loop, prog_, st.bind, np));
+      if (cfg_.opt.elim_redundant_comm && still_available(loop, st, transfers))
+        return CommPlan{};
+      return core::plan_from_transfers(*transfers, layouts_, me, bs, align);
     }
 
     const core::PlanCache::Entry* e =
         st.plan_cache.lookup(loop, prog_, st.bind);
+    std::shared_ptr<const core::ClusterPlan> shared;
+    CommPlan plan;
     if (e != nullptr) {
-      if (!cfg_.opt.elim_redundant_comm) return e->plan;
-      const std::vector<hpf::Transfer> filtered =
-          filter_available(loop, st, e->transfers);
-      if (filtered.empty() && !e->transfers.empty()) return CommPlan{};
-      return e->plan;
+      shared = e->shared;
+    } else {
+      shared = plan_store_.acquire(loop, st.plan_cache.last_key(), [&] {
+        return core::ClusterPlan(
+            hpf::analyze_transfers(loop, prog_, st.bind, np), layouts_, np,
+            bs, align);
+      });
+      plan = shared->slice(me, layouts_);
+      if (st.plan_cache.should_store(loop))
+        e = &st.plan_cache.insert(loop, prog_, st.bind, shared, plan);
     }
-    // Miss: build fresh, store a copy for future hits (unless the cache has
-    // given up on this loop), and return the local plan without copying.
-    auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-    CommPlan plan =
-        core::plan_from_transfers(transfers, layouts_, me, bs, align);
-    bool elide = false;
-    if (cfg_.opt.elim_redundant_comm)
-      elide = filter_available(loop, st, transfers).empty() &&
-              !transfers.empty();
-    if (st.plan_cache.should_store(loop))
-      st.plan_cache.insert(loop, prog_, st.bind, std::move(transfers), plan);
-    if (elide) return CommPlan{};
-    return plan;
+    const std::vector<hpf::Transfer>& transfers = shared->transfers();
+    if (cfg_.opt.elim_redundant_comm &&
+        still_available(loop, st, TransferSet(shared, &transfers)) &&
+        !transfers.empty())
+      return CommPlan{};
+    return e != nullptr ? e->plan : plan;
   }
 
   // The plan for a loop with indirect reads. The affine analysis still
   // covers the loop's direct references (including the indirection arrays
   // themselves); the inspector contributes the data-dependent gather set:
-  // scan the local index slice, exchange need lists, fold the identical
-  // global set into transfers on every node, and lower the union.
+  // scan the local index slice, exchange need lists, fold the global set
+  // into transfers, and lower the union.
   //
   // The schedule is cached keyed on the indirection arrays' write versions
   // (bumped identically on every node by bump_versions), so iterative apps
   // inspect once and replay — the CHAOS/PARTI amortization. Hits and misses
   // are symmetric cluster-wide (same versions, same symbols, same give-up
   // threshold), which keeps the collective exchange() calls aligned.
+  //
+  // Every node still scans and exchanges on a miss (that traffic is
+  // simulated), but the fold and affine analysis are host work shared
+  // through the run's PlanStore: every node receives the identical need
+  // lists for the same key, so the first node's fold serves all of them.
+  // The shared entry records the digest of the lists it was folded from, and
+  // debug builds check every node's own exchange against it.
   //
   // Availability filtering (elim_redundant_comm) is deliberately not
   // applied: its transfer-set equality test would have to re-run the
@@ -498,36 +514,50 @@ class Executor {
                     /*ensure_index=*/shmem(), &st.irreg_scratch);
     const std::vector<std::vector<irreg::Need>> all =
         irreg_->exchange(n, t, std::move(sr.needs));
-    auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-    auto gathers = irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
-    transfers.insert(transfers.end(),
-                     std::make_move_iterator(gathers.begin()),
-                     std::make_move_iterator(gathers.end()));
-    CommPlan plan =
-        core::plan_from_transfers(transfers, layouts_, me, bs, align);
+    const auto fold = [&] {
+      auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
+      auto gathers = irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
+      transfers.insert(transfers.end(),
+                       std::make_move_iterator(gathers.begin()),
+                       std::make_move_iterator(gathers.end()));
+      return transfers;
+    };
+    std::shared_ptr<const core::ClusterPlan> shared;
+    CommPlan plan;
+    if (cfg_.opt.plan_cache) {
+      shared = plan_store_.acquire(loop, st.plan_cache.last_key(), [&] {
+        return core::ClusterPlan(fold(), layouts_, np, bs, align,
+                                 irreg::needs_digest(all));
+      });
+      FGDSM_DCHECK(shared->needs_digest() == irreg::needs_digest(all));
+      plan = shared->slice(me, layouts_);
+    } else {
+      plan = core::plan_from_transfers(fold(), layouts_, me, bs, align);
+    }
     n.stats.ccc_ns += t.now() - t0;
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(me), "inspect",
                tr->intern(loop.name), t0, t.now());
     if (cfg_.opt.plan_cache && st.plan_cache.should_store(loop))
-      st.plan_cache.insert(loop, prog_, st.bind, std::move(transfers), plan,
+      st.plan_cache.insert(loop, prog_, st.bind, std::move(shared), plan,
                            extra);
     return plan;
   }
 
-  std::vector<hpf::Transfer> filter_available(
-      const hpf::ParallelLoop& loop, NodeRun& st,
-      std::vector<hpf::Transfer> transfers) {
-    // Availability (PRE-style, §4.3's second problem): if this loop's
-    // transfer set is identical to the last one communicated here and none
-    // of the involved arrays has been written since, the data is still
-    // valid at the receivers (requires rt_overhead_elim: receivers keep
-    // their copies open).
+  // Availability (PRE-style, §4.3's second problem): true if this loop's
+  // transfer set is identical to the last one communicated here and none of
+  // the involved arrays has been written since — the data is still valid at
+  // the receivers (requires rt_overhead_elim: receivers keep their copies
+  // open), so the visit's communication is elided. Otherwise records the
+  // set as the last one communicated and returns false.
+  bool still_available(const hpf::ParallelLoop& loop, NodeRun& st,
+                       const TransferSet& transfers) {
     auto it = st.avail.find(&loop);
     bool skip = it != st.avail.end() &&
-                transfers_eq(it->second.transfers, transfers);
+                (it->second.transfers == transfers ||
+                 transfers_eq(*it->second.transfers, *transfers));
     if (skip) {
-      for (const auto& tr : transfers) {
+      for (const auto& tr : *transfers) {
         auto vit = it->second.versions.find(tr.array);
         if (vit == it->second.versions.end() ||
             vit->second != st.write_version[tr.array]) {
@@ -537,15 +567,15 @@ class Executor {
       }
     }
     if (skip) {
-      st.node->stats.ccc_calls_elided += transfers.size();
-      return {};
+      st.node->stats.ccc_calls_elided += transfers->size();
+      return true;
     }
     NodeRun::AvailEntry e;
     e.transfers = transfers;
-    for (const auto& tr : transfers)
+    for (const auto& tr : *transfers)
       e.versions[tr.array] = st.write_version[tr.array];
     st.avail[&loop] = std::move(e);
-    return transfers;
+    return false;
   }
 
   // ---- Compiler-directed coherence (Figure 2 call sequence) ----
@@ -854,6 +884,9 @@ class Executor {
   std::unique_ptr<mp::MpRuntime> mp_;
   std::unique_ptr<irreg::IrregRuntime> irreg_;
   core::LayoutMap layouts_;
+  // The run's one communication plan per (loop, key), shared by every node's
+  // plan_cache view (one store per run: BatchRunner runs never share it).
+  core::PlanStore plan_store_;
   Bindings base_bind_;
   std::vector<NodeRun> nodes_;
 };

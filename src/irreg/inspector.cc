@@ -169,6 +169,9 @@ std::vector<hpf::Transfer> needs_to_transfers(
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const hpf::Bindings& b, int np) {
   const std::vector<std::string> canon = gather_arrays(loop, prog);
+  std::vector<std::int64_t> extent;  // per canonical array
+  for (const std::string& name : canon)
+    extent.push_back(hpf::array_extents(prog.array(name), b)[0]);
   std::vector<hpf::Transfer> out;
   for (int p = 0; p < np; ++p) {
     for (const Need& nd : needs_by_node[static_cast<std::size_t>(p)]) {
@@ -176,16 +179,23 @@ std::vector<hpf::Transfer> needs_to_transfers(
           nd.array >= 0 &&
               nd.array < static_cast<std::int64_t>(canon.size()),
           "bad array id " << nd.array << " in needs exchange");
-      const std::string& name = canon[static_cast<std::size_t>(nd.array)];
-      const std::int64_t n = hpf::array_extents(prog.array(name), b)[0];
-      for (int q = 0; q < np; ++q) {
+      const std::size_t aid = static_cast<std::size_t>(nd.array);
+      const std::int64_t n = extent[aid];
+      FGDSM_ASSERT_MSG(0 <= nd.lo && nd.lo <= nd.hi && nd.hi < n,
+                       "need [" << nd.lo << ", " << nd.hi << "] outside "
+                                << canon[aid] << " of " << n);
+      // BLOCK ownership is contiguous: the owners of [lo, hi] are exactly
+      // [owner(lo), owner(hi)], ascending like the full scan over q.
+      const int qlo = hpf::owner_of(hpf::DistKind::kBlock, nd.lo, n, np);
+      const int qhi = hpf::owner_of(hpf::DistKind::kBlock, nd.hi, n, np);
+      for (int q = qlo; q <= qhi; ++q) {
         if (q == p) continue;
         const ConcreteInterval inter = hpf::intersect(
             ConcreteInterval{nd.lo, nd.hi, 1},
             hpf::owned_interval(hpf::DistKind::kBlock, q, n, np));
         if (inter.empty()) continue;
         hpf::Transfer t;
-        t.array = name;
+        t.array = canon[aid];
         t.sender = q;
         t.receiver = p;
         t.section.dims = {inter};
@@ -195,6 +205,29 @@ std::vector<hpf::Transfer> needs_to_transfers(
     }
   }
   return out;
+}
+
+std::uint64_t needs_digest(
+    const std::vector<std::vector<Need>>& needs_by_node) {
+  // splitmix64 finalizer chained over every word, with each list's length
+  // folded in so records cannot shift between nodes unnoticed.
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  const auto mix = [&h](std::uint64_t v) {
+    std::uint64_t z = h ^ v;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    h = z ^ (z >> 31);
+  };
+  mix(needs_by_node.size());
+  for (const std::vector<Need>& list : needs_by_node) {
+    mix(list.size());
+    for (const Need& nd : list) {
+      mix(static_cast<std::uint64_t>(nd.array));
+      mix(static_cast<std::uint64_t>(nd.lo));
+      mix(static_cast<std::uint64_t>(nd.hi));
+    }
+  }
+  return h;
 }
 
 }  // namespace fgdsm::irreg

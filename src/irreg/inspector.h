@@ -9,17 +9,18 @@
 //      records).
 //   2. The need lists are broadcast (irreg::IrregRuntime::exchange) so every
 //      node holds all np lists.
-//   3. needs_to_transfers(): every node independently folds the identical
-//      global need set into hpf::Transfer records — the same currency the
-//      affine planner produces — and core::plan_from_transfers lowers the
-//      union into a CommPlan. Block alignment (shmem_limits trimming)
-//      happens there: partially-owned blocks fall back to the default
-//      protocol, exactly as for affine sections.
+//   3. needs_to_transfers(): the identical global need set is folded into
+//      hpf::Transfer records — the same currency the affine planner
+//      produces — once per cluster (the executor shares the fold through
+//      core::PlanStore), and each node lowers its slice of the union into a
+//      CommPlan. Block alignment (shmem_limits trimming) happens there:
+//      partially-owned blocks fall back to the default protocol, exactly as
+//      for affine sections.
 //
 // Determinism contract: scan() is a pure function of (loop, bindings,
 // layouts, memory contents); needs_to_transfers() of its inputs. Every node
-// derives the same transfer set, so the counting semaphores of the executor
-// contract stay consistent without any reply round.
+// plans from the same transfer set, so the counting semaphores of the
+// executor contract stay consistent without any reply round.
 //
 // Scope: gather only (indirect reads of 1-D BLOCK-distributed arrays).
 // Indirect writes (scatter) stay with the default protocol — a runtime
@@ -100,11 +101,18 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
 
 // Fold all nodes' need lists (indexed by node id, each sorted/disjoint as
 // produced by scan) into the implied transfer set: for every needed interval
-// of node p, one Transfer per owning node q != p of the overlap. Pure and
-// deterministic — identical inputs give an identical list on every node.
+// of node p, one Transfer per owning node q != p of the overlap, q
+// ascending. Pure and deterministic — identical inputs give an identical
+// list on every node. Cost is linear in the number of (need, owner) pairs.
 std::vector<hpf::Transfer> needs_to_transfers(
     const std::vector<std::vector<Need>>& needs_by_node,
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const hpf::Bindings& b, int np);
+
+// 64-bit digest of a needs exchange's result (every node's list, in node
+// order). The run's shared schedule records the digest of the lists it was
+// folded from, so a node whose own exchange differs is caught instead of
+// silently reusing another node's schedule.
+std::uint64_t needs_digest(const std::vector<std::vector<Need>>& needs_by_node);
 
 }  // namespace fgdsm::irreg

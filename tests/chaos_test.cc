@@ -9,12 +9,15 @@
 //   - fault injection disabled is *passive*: every chaos counter stays zero
 //     and the run is untouched;
 //   - a dead link terminates the process with the documented exit code (86)
-//     and a diagnostic naming the link, not a hang.
+//     and a diagnostic naming the link, not a hang;
+//   - unknown flags and unknown --app names exit 2 instead of running
+//     something else (or nothing).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/apps/apps.h"
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
@@ -150,6 +153,27 @@ TEST(OptionsStrict, KnownFlagsPass) {
   const char* argv[] = {"bench", "--trace=x.json", "--scale=0.5"};
   util::Options o(3, argv);
   o.check_known({"trace", "scale"});  // must not exit
+}
+
+// An --app that names no workload would filter out every run and print
+// empty tables; it is rejected like an unknown flag.
+TEST(OptionsStrictDeathTest, UnknownAppExits2WithSuggestion) {
+  const char* typo[] = {"bench", "--app=jacobo"};
+  EXPECT_EXIT(bench::BenchConfig::from_args(2, typo),
+              ::testing::ExitedWithCode(2),
+              "unknown --app=jacobo \\(did you mean --app=jacobi\\?\\)");
+  const char* nonsense[] = {"bench", "--app=xyzzy"};
+  EXPECT_EXIT(bench::BenchConfig::from_args(2, nonsense),
+              ::testing::ExitedWithCode(2),
+              "unknown --app=xyzzy \\(known: pde, .*spmv\\)");
+}
+
+TEST(OptionsStrict, KnownAppsPass) {
+  for (const char* arg : {"--app=lu", "--app=spmv"}) {
+    const char* argv[] = {"bench", arg};
+    EXPECT_EQ(*bench::BenchConfig::from_args(2, argv).only_app,
+              std::string(arg).substr(6));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -132,8 +132,11 @@ TEST_F(JacobiModes, SingleCpuSlowerThanDualCpu) {
   EXPECT_GT(single.stats.totals().handler_steal_ns, 0);
 }
 
+// gtest names each case with a byte dump of its parameter, so the struct
+// must have no padding: uninitialized padding bytes would make the test
+// names differ from run to run.
 struct ShapeParam {
-  int nnodes;
+  std::size_t nnodes;
   std::size_t block;
 };
 
@@ -146,7 +149,8 @@ TEST_P(JacobiShapes, AllModesAgree) {
   for (const core::Options& opt :
        {core::shmem_unopt(), core::shmem_opt_base(), core::shmem_opt_full(),
         core::msg_passing()}) {
-    const RunResult r = run(prog, config(opt, p.nnodes, p.block));
+    const RunResult r =
+        run(prog, config(opt, static_cast<int>(p.nnodes), p.block));
     expect_same_arrays(serial, r, opt.label());
   }
 }

@@ -13,6 +13,7 @@
 #include "src/apps/apps.h"
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
+#include "src/hpf/distribution.h"
 #include "src/irreg/inspector.h"
 #include "src/sim/fault.h"
 
@@ -192,6 +193,94 @@ TEST(Irreg, ChaosPreservesResults) {
       EXPECT_GT(chaotic.stats.totals().retransmits, 0u) << label;
     }
   }
+}
+
+// The fold visits only the block owners [owner(lo), owner(hi)] of each
+// need instead of every node: it must produce exactly the transfers, in
+// exactly the order, of the full scan over q in 0..np-1.
+std::vector<hpf::Transfer> fold_full_scan(
+    const std::vector<std::vector<irreg::Need>>& needs,
+    const std::vector<std::string>& canon, std::int64_t n, int np) {
+  std::vector<hpf::Transfer> out;
+  for (int p = 0; p < np; ++p)
+    for (const irreg::Need& nd : needs[static_cast<std::size_t>(p)])
+      for (int q = 0; q < np; ++q) {
+        if (q == p) continue;
+        const hpf::ConcreteInterval inter = hpf::intersect(
+            hpf::ConcreteInterval{nd.lo, nd.hi, 1},
+            hpf::owned_interval(hpf::DistKind::kBlock, q, n, np));
+        if (inter.empty()) continue;
+        hpf::Transfer t;
+        t.array = canon[static_cast<std::size_t>(nd.array)];
+        t.sender = q;
+        t.receiver = p;
+        t.section.dims = {inter};
+        out.push_back(std::move(t));
+      }
+  return out;
+}
+
+TEST(Irreg, FoldOwnerRangeMatchesFullScan) {
+  for (const int np : {1, 3, 7, 64, 256}) {
+    // Extents that do and do not divide evenly (trailing owners empty).
+    for (const std::int64_t n : {np * std::int64_t{16} + 5,
+                                 np * std::int64_t{3}}) {
+      const auto prog = apps::spmv(n, 8, 1, /*pattern=*/0);
+      const hpf::ParallelLoop* loop = nullptr;
+      for (const auto& top : prog.phases)
+        if (top.kind == hpf::Phase::Kind::kTimeLoop)
+          for (const auto& ph : top.time->phases)
+            if (ph.kind == hpf::Phase::Kind::kParallelLoop &&
+                irreg::has_indirect(*ph.loop))
+              loop = ph.loop.get();
+      ASSERT_NE(loop, nullptr);
+      hpf::Bindings b = prog.sizes;
+      b.set(hpf::kSymNProcs, np);
+      const std::vector<std::string> canon = irreg::gather_arrays(*loop, prog);
+      ASSERT_EQ(canon.size(), 1u);
+
+      // Every node needs a short halo, one long span and a single element.
+      std::vector<std::vector<irreg::Need>> needs(
+          static_cast<std::size_t>(np));
+      for (int p = 0; p < np; ++p) {
+        const std::int64_t a = (p * 37) % n;
+        const std::int64_t c = std::min(n - 1, a + 3);
+        auto& list = needs[static_cast<std::size_t>(p)];
+        list.push_back({0, a, c});
+        if (c + 2 < n)
+          list.push_back({0, c + 2, std::min(n - 1, c + 2 + n / 3)});
+        if (list.back().hi + 2 < n) list.push_back({0, n - 1, n - 1});
+      }
+      const auto got = irreg::needs_to_transfers(needs, *loop, prog, b, np);
+      const auto want = fold_full_scan(needs, canon, n, np);
+      ASSERT_EQ(got.size(), want.size()) << "np=" << np << " n=" << n;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].array, want[i].array);
+        EXPECT_EQ(got[i].sender, want[i].sender) << "np=" << np << " #" << i;
+        EXPECT_EQ(got[i].receiver, want[i].receiver);
+        EXPECT_EQ(got[i].for_write, want[i].for_write);
+        EXPECT_TRUE(got[i].section == want[i].section)
+            << "np=" << np << " #" << i;
+      }
+    }
+  }
+}
+
+TEST(Irreg, NeedsDigestSeesEveryListAndRecord) {
+  const std::vector<std::vector<irreg::Need>> base = {
+      {{0, 4, 9}}, {}, {{0, 1, 1}, {0, 20, 30}}};
+  const std::uint64_t d = irreg::needs_digest(base);
+  EXPECT_EQ(d, irreg::needs_digest(base));
+  auto moved = base;  // a record moved to another node's list
+  moved[1].push_back(moved[2].back());
+  moved[2].pop_back();
+  EXPECT_NE(d, irreg::needs_digest(moved));
+  auto widened = base;
+  ++widened[0][0].hi;
+  EXPECT_NE(d, irreg::needs_digest(widened));
+  auto more_nodes = base;
+  more_nodes.emplace_back();
+  EXPECT_NE(d, irreg::needs_digest(more_nodes));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Equivalence of the per-node communication-plan cache (core::PlanCache)
+// Equivalence of the per-node communication-plan view (core::PlanCache)
 // with fresh analysis: a cached CommPlan must equal a freshly built one in
 // every schedule, count, and flag; the cache key must miss exactly when a
 // referenced symbol changes; and the executor must produce bit-identical
@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/apps/apps.h"
 #include "src/core/plan.h"
 #include "src/core/plan_cache.h"
+#include "src/core/plan_store.h"
 #include "src/exec/executor.h"
 #include "src/hpf/analysis.h"
 #include "src/hpf/ir.h"
@@ -58,6 +60,15 @@ LayoutMap make_layouts(const hpf::Program& prog, const hpf::Bindings& b,
   return m;
 }
 
+// The shared cluster-level entry a view references (the executor gets it
+// from its run's PlanStore; these tests build it directly).
+std::shared_ptr<const ClusterPlan> share(std::vector<hpf::Transfer> transfers,
+                                         const LayoutMap& layouts, int np,
+                                         bool align = true) {
+  return std::make_shared<const ClusterPlan>(std::move(transfers), layouts,
+                                             np, 128, align);
+}
+
 hpf::Bindings base_bindings(const hpf::Program& prog, int np) {
   hpf::Bindings b = prog.sizes;
   b.set(hpf::kSymNProcs, np);
@@ -86,7 +97,10 @@ TEST(PlanCache, CachedPlanEqualsFreshBuild) {
           auto transfers = hpf::analyze_transfers(*loop, prog, b, kNp);
           CommPlan fresh =
               plan_from_transfers(transfers, layouts, me, kBlock, align);
-          cache.insert(*loop, prog, b, transfers, fresh);
+          cache.insert(*loop, prog, b,
+                       std::make_shared<const ClusterPlan>(
+                           transfers, layouts, kNp, kBlock, align),
+                       fresh);
 
           // Second visit: hit, and the cached plan is structurally equal to
           // a from-scratch build_comm_plan (schedules, counts, flags — the
@@ -98,7 +112,7 @@ TEST(PlanCache, CachedPlanEqualsFreshBuild) {
                                              kBlock, align))
               << prog.name << "/" << loop->name << " me=" << me
               << " align=" << align;
-          EXPECT_EQ(e->transfers.size(), transfers.size());
+          EXPECT_EQ(e->shared->transfers().size(), transfers.size());
         }
         EXPECT_EQ(cache.misses(), loops.size());
         EXPECT_EQ(cache.hits(), loops.size());
@@ -123,7 +137,7 @@ TEST(PlanCache, KeySymbolChangeMissesUnrelatedChangeHits) {
   PlanCache cache;
   auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
   CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-  cache.insert(loop, prog, b, transfers, plan);
+  cache.insert(loop, prog, b, share(transfers, layouts, kNp), plan);
   ASSERT_NE(cache.lookup(loop, prog, b), nullptr);
 
   // Changing a symbol the loop never references must not invalidate.
@@ -140,7 +154,7 @@ TEST(PlanCache, KeySymbolChangeMissesUnrelatedChangeHits) {
   auto transfers2 = hpf::analyze_transfers(loop, prog, changed, kNp);
   const LayoutMap layouts2 = make_layouts(prog, changed, 128);
   CommPlan plan2 = plan_from_transfers(transfers2, layouts2, 0, 128, true);
-  cache.insert(loop, prog, changed, transfers2, plan2);
+  cache.insert(loop, prog, changed, share(transfers2, layouts2, kNp), plan2);
   const PlanCache::Entry* e = cache.lookup(loop, prog, changed);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->plan, plan2);
@@ -169,7 +183,8 @@ TEST(PlanCache, GivesUpOnLoopsThatNeverHit) {
     if (cache.should_store(loop)) {
       auto transfers = hpf::analyze_transfers(loop, prog, cur, kNp);
       CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-      cache.insert(loop, prog, cur, std::move(transfers), std::move(plan));
+      cache.insert(loop, prog, cur, share(std::move(transfers), layouts, kNp),
+                   std::move(plan));
     }
   }
   EXPECT_FALSE(cache.should_store(loop));
@@ -198,7 +213,8 @@ TEST(PlanCache, ExtraKeyParticipatesInKey) {
   PlanCache cache;
   auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
   CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-  cache.insert(loop, prog, b, transfers, plan, /*extra_key=*/{7});
+  cache.insert(loop, prog, b, share(transfers, layouts, kNp), plan,
+               /*extra_key=*/{7});
 
   const PlanCache::Entry* e = cache.lookup(loop, prog, b, {7});
   ASSERT_NE(e, nullptr);
@@ -225,6 +241,7 @@ TEST(PlanCache, GiveUpThresholdIsConfigurable) {
   const LayoutMap layouts = make_layouts(prog, b, 128);
   auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
   const CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
+  const auto shared = share(transfers, layouts, kNp);
 
   {
     PlanCache cache;
@@ -235,7 +252,7 @@ TEST(PlanCache, GiveUpThresholdIsConfigurable) {
     for (std::int64_t v = 0; v < 2; ++v) {
       ASSERT_EQ(cache.lookup(loop, prog, b, {v}), nullptr);
       if (cache.should_store(loop))
-        cache.insert(loop, prog, b, transfers, plan, {v});
+        cache.insert(loop, prog, b, shared, plan, {v});
     }
     EXPECT_FALSE(cache.should_store(loop));
     // The slot is dead: even the most recently stored key misses.
@@ -245,7 +262,7 @@ TEST(PlanCache, GiveUpThresholdIsConfigurable) {
     // kGiveUpAfter would be 8, but 2 still allows hit-miss-hit patterns.
     PlanCache c2;
     c2.set_give_up_after(2);
-    c2.insert(loop, prog, b, transfers, plan, {0});
+    c2.insert(loop, prog, b, shared, plan, {0});
     ASSERT_EQ(c2.lookup(loop, prog, b, {1}), nullptr);  // one miss
     ASSERT_NE(c2.lookup(loop, prog, b, {0}), nullptr);  // hit resets streak
     ASSERT_EQ(c2.lookup(loop, prog, b, {1}), nullptr);  // one miss again

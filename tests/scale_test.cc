@@ -12,7 +12,9 @@
 //     nodes 0-63 and spills above it without changing iteration order;
 //   - whole-application runs at 64 and 256 nodes are bit-identical across
 //     --sim-threads={1,4} and host-parallel batch execution, fault-free and
-//     under chaos (the determinism contract does not erode with scale).
+//     under chaos (the determinism contract does not erode with scale),
+//     including when four real partition workers share the run's plan
+//     store.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,6 +28,7 @@
 #include "src/sim/channel.h"
 #include "src/sim/engine.h"
 #include "src/sim/fault.h"
+#include "src/sim/host_budget.h"
 #include "src/sim/network.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -270,6 +273,43 @@ TEST(ScaleDeterminism, TwoFiftySixNodesAcrossSimThreadsAndChaos) {
   const exec::RunResult ch4 = exec::run(prog, cfg(256, topo, 4, true));
   expect_identical(ch1, ch4, "256n chaos sim-threads 1 vs 4");
   EXPECT_EQ(st1.scalars, ch1.scalars) << "256n chaos changed results";
+}
+
+// Four real partition workers (as with FGDSM_HOST_CORES=4) drain a 256-node
+// run concurrently while every node's misses go through the run's shared
+// plan store: the affine planner (jacobi) and the inspector's shared fold
+// (banded spmv). Scalars, elapsed time and every node's plan and schedule
+// cache counters must equal the serial run. Fault-free on purpose: the
+// fault injector's own cross-partition race is a separate issue.
+TEST(ScaleDeterminism, TwoFiftySixNodesSharedPlansAcrossRealWorkers) {
+  struct BudgetOverride {
+    BudgetOverride() { sim::HostBudget::instance().set_total_for_test(4); }
+    ~BudgetOverride() {
+      sim::HostBudget::instance().set_total_for_test(saved);
+    }
+    int saved = sim::HostBudget::instance().total();
+  } budget;
+  for (const hpf::Program& prog :
+       {apps::jacobi(256, 3), apps::spmv(64 * 256, 8, 3, /*pattern=*/0)}) {
+    const exec::RunResult st1 =
+        exec::run(prog, cfg(256, Collectives::kBinomial, 1, false));
+    const exec::RunResult st4 =
+        exec::run(prog, cfg(256, Collectives::kBinomial, 4, false));
+    const std::string label = prog.name + " 256n sim-threads 1 vs 4";
+    expect_identical(st1, st4, label);
+    for (std::size_t i = 0; i < st1.stats.node.size(); ++i) {
+      const util::NodeStats& a = st1.stats.node[i];
+      const util::NodeStats& b = st4.stats.node[i];
+      EXPECT_EQ(a.plan_cache_hits, b.plan_cache_hits) << label << " " << i;
+      EXPECT_EQ(a.plan_cache_misses, b.plan_cache_misses) << label << " " << i;
+      EXPECT_EQ(a.sched_cache_hits, b.sched_cache_hits) << label << " " << i;
+      EXPECT_EQ(a.sched_cache_misses, b.sched_cache_misses)
+          << label << " " << i;
+      EXPECT_EQ(a.irreg_inspections, b.irreg_inspections)
+          << label << " " << i;
+    }
+    EXPECT_GT(st1.stats.totals().plan_cache_hits, 0u) << label;
+  }
 }
 
 }  // namespace
