@@ -65,7 +65,7 @@ hpf::Program bench_prog() {
   hpf::ParallelLoop loop;
   loop.dist = hpf::LoopVar{"j", hpf::AffineExpr(1), N - 2};
   loop.free.push_back(hpf::LoopVar{"i", hpf::AffineExpr(1), N - 2});
-  loop.home_array = "u";
+  loop.home_array = std::string("u");  // GCC 12 -Wrestrict false positive
   loop.home_sub = J;
   loop.reads = {{"u", {I, J - 1}}, {"u", {I, J + 1}}};
   loop.writes = {{"u", {I, J}}};

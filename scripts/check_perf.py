@@ -6,9 +6,9 @@ Usage:
                         [--tolerance 0.20] [--update] [--allocs-only]
 
 CURRENT.json is a fresh run of either host-side harness:
-  - `bench_selfperf --json=...`      (schema fgdsm-selfperf-v1, baseline
+  - `fgdsm-bench selfperf --json=...`     (schema fgdsm-selfperf-v1, baseline
     BENCH_PERF.json, schema fgdsm-perf-baseline-v1), or
-  - `bench_scale --perf-json=...`    (schema fgdsm-scale-v1, baseline
+  - `fgdsm-bench scale --perf-json=...`  (schema fgdsm-scale-v1, baseline
     BENCH_SCALE.json, schema fgdsm-scale-baseline-v1).
 Both emit the same per-workload shape (events / allocs_per_event /
 normalized_events_per_mop), so one gate serves both; the schema pair just

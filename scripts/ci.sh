@@ -12,14 +12,14 @@
 #                            the fault-free baseline, and a 100%-drop run
 #                            must terminate via the stall watchdog (exit 86)
 #   scripts/ci.sh crash      crash gauntlet: fail-stop crashes with
-#                            checkpoint/rollback recovery across bench_paper
-#                            and bench_irreg at 8 and 256 nodes, two seeds
+#                            checkpoint/rollback recovery across the table3
+#                            and irreg sweeps at 8 and 256 nodes, two seeds
 #                            each; recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
 #                            across --sim-threads={1,4} and --jobs={1,4};
 #                            a crash with --checkpoint-every=0 must exit 87
 #                            naming the crashed node
-#   scripts/ci.sh perf       perf-regression gate: bench_selfperf vs the
+#   scripts/ci.sh perf       perf-regression gate: fgdsm-bench selfperf vs the
 #                            committed BENCH_PERF.json baseline, normalized
 #                            by host calibration, 20% tolerance band
 #                            (PERF_ALLOCS_ONLY=1 gates allocs/event only and
@@ -27,18 +27,21 @@
 #                            runners whose variance trips the 20% band)
 #   scripts/ci.sh scale      weak-scaling gate: a 64-node jacobi+spmv smoke
 #                            run (hierarchical collectives, schema-checked
-#                            JSON), then bench_scale's host-side numbers vs
+#                            JSON), then the scale sweep's host numbers vs
 #                            the committed BENCH_SCALE.json baseline through
 #                            the same check_perf.py band (PERF_ALLOCS_ONLY=1
 #                            applies here too)
 #   scripts/ci.sh simthreads bit-identity matrix for the windowed PDES mode:
 #                            determinism suite + PDES unit tests, then
-#                            bench_table3 fault-free and under chaos at
-#                            --sim-threads={1,4} — JSON results must be
-#                            byte-identical across thread counts
+#                            the table3 sweep fault-free and under chaos at
+#                            --sim-threads={1,4}, and 256-node jacobi under
+#                            chaos (where fault counters are per-source
+#                            shards) — JSON results must be byte-identical
+#                            across thread counts
 #   scripts/ci.sh tsan       TSan build of the worker-crew path: the PDES
-#                            partition/merge tests and the plan-store
-#                            hammer tests run with real threads on plain
+#                            partition/merge tests, the plan-store hammer
+#                            tests and the fault-injector shard test run
+#                            with real threads on plain
 #                            callables (no ucontext fibers — TSan cannot
 #                            track fiber stack switches)
 # Extra cmake args may follow the job name.
@@ -58,11 +61,11 @@ case "$job" in
     # Observability smoke: one real bench run exercising the coherence
     # checker and the machine-readable results path end to end.
     mkdir -p results
-    build/bench/bench_table3 --app=jacobi --scale=0.05 --jobs="$jobs" \
+    build/bench/fgdsm-bench table3 --app=jacobi --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/smoke_table3.json
     # Irregular path smoke: the inspector–executor schedule for the sparse
     # matvec, same coherence + schema gates.
-    build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
+    build/bench/fgdsm-bench irreg --pattern=band --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/smoke_irreg.json
     python3 scripts/check_results_json.py results/smoke_table3.json \
       results/smoke_irreg.json
@@ -82,13 +85,14 @@ case "$job" in
     ;;
   chaos)
     cmake -B build -S . "$@"
-    cmake --build build -j "$jobs" --target bench_table3 bench_irreg
+    cmake --build build -j "$jobs" --target fgdsm-bench
     mkdir -p results
     # Fault-free baseline, then the same sweep under chaos at two seeds.
-    build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
-      --json=results/chaos_baseline.json
+    build/bench/fgdsm-bench table3 --scale=0.05 --jobs="$jobs" \
+      --check-coherence --json=results/chaos_baseline.json
     for seed in 1 2; do
-      build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
+      build/bench/fgdsm-bench table3 --scale=0.05 --jobs="$jobs" \
+        --check-coherence \
         --faults="drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=$seed" \
         --json="results/chaos_seed$seed.json"
     done
@@ -99,10 +103,10 @@ case "$job" in
     # Irregular gauntlet: the inspector's needs exchange and the scheduled
     # gathers must survive the same lossy wire — results bit-identical to
     # the fault-free baseline at both seeds.
-    build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
+    build/bench/fgdsm-bench irreg --pattern=band --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/chaos_irreg_baseline.json
     for seed in 1 2; do
-      build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
+      build/bench/fgdsm-bench irreg --pattern=band --scale=0.05 --jobs="$jobs" \
         --check-coherence --faults="drop=0.02,seed=$seed" \
         --json="results/chaos_irreg_seed$seed.json"
     done
@@ -113,7 +117,7 @@ case "$job" in
     # Liveness failure path: a fully dead network must terminate with the
     # documented stall exit code and name the dead link — never hang.
     rc=0
-    build/bench/bench_table3 --app=jacobi --scale=0.05 --check-coherence \
+    build/bench/fgdsm-bench table3 --app=jacobi --scale=0.05 --check-coherence \
       --faults="drop=1.0,retries=0,seed=1" >/dev/null 2>results/chaos_stall.log \
       || rc=$?
     if [[ "$rc" -ne 86 ]]; then
@@ -135,15 +139,16 @@ case "$job" in
     # simulation: the same crash schedule at --sim-threads={1,4} and
     # --jobs={1,4} must produce byte-identical JSON.
     cmake -B build -S . "$@"
-    cmake --build build -j "$jobs" --target bench_table3 bench_irreg
+    cmake --build build -j "$jobs" --target fgdsm-bench
     mkdir -p results
     # Full table-3 suite at 8 nodes: fault-free baseline, then probabilistic
     # crashes at two seeds with checkpoints every 4 barriers.
-    build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
-      --json=results/crash_baseline.json
+    build/bench/fgdsm-bench table3 --scale=0.05 --jobs="$jobs" \
+      --check-coherence --json=results/crash_baseline.json
     for seed in 1 2; do
-      build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
-        --faults="crashp=0.002,seed=$seed" --checkpoint-every=4 \
+      build/bench/fgdsm-bench table3 --scale=0.05 --jobs="$jobs" \
+        --check-coherence --faults="crashp=0.002,seed=$seed" \
+        --checkpoint-every=4 \
         --json="results/crash_seed$seed.json"
     done
     python3 scripts/check_results_json.py results/crash_baseline.json \
@@ -152,12 +157,12 @@ case "$job" in
       results/crash_seed1.json results/crash_seed2.json
     # 256 nodes: a coordinated rollback restarts every node from the last
     # checkpoint, so recovery correctness must hold at scale too.
-    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+    build/bench/fgdsm-bench table3 --nodes=256 --app=jacobi --scale=0.02 \
       --jobs="$jobs" --check-coherence --json=results/crash_baseline_n256.json
     # One explicit crash lands inside every config's run (shortest is
     # ~31ms simulated); crashp adds seed-varying extras on top.
     for seed in 1 2; do
-      build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+      build/bench/fgdsm-bench table3 --nodes=256 --app=jacobi --scale=0.02 \
         --jobs="$jobs" --check-coherence \
         --faults="crash=7@15000000,crashp=0.0002,seed=$seed" \
         --checkpoint-every=4 --json="results/crash_n256_seed$seed.json"
@@ -168,10 +173,10 @@ case "$job" in
       results/crash_n256_seed1.json results/crash_n256_seed2.json
     # Irregular inspector-executor path: the rebuilt communication schedule
     # after a rollback must gather exactly the same remote rows.
-    build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
+    build/bench/fgdsm-bench irreg --pattern=band --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/crash_irreg_baseline.json
     for seed in 1 2; do
-      build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
+      build/bench/fgdsm-bench irreg --pattern=band --scale=0.05 --jobs="$jobs" \
         --check-coherence --faults="crashp=0.05,seed=$seed" \
         --checkpoint-every=4 --json="results/crash_irreg_seed$seed.json"
     done
@@ -183,8 +188,8 @@ case "$job" in
     # windowed PDES (--sim-threads) and the batch runner (--jobs) must be
     # byte-identical — crash draws are counter-mode, never wall-clock.
     for st in 1 4; do
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --app=jacobi --scale=0.05 \
-        --sim-threads="$st" --check-coherence \
+      FGDSM_HOST_CORES=4 build/bench/fgdsm-bench table3 --app=jacobi \
+        --scale=0.05 --sim-threads="$st" --check-coherence \
         --faults="crashp=0.002,seed=1" --checkpoint-every=4 \
         --json="results/crash_st$st.json"
     done
@@ -193,7 +198,7 @@ case "$job" in
       exit 1
     }
     for j in 1 4; do
-      build/bench/bench_table3 --app=jacobi --scale=0.05 --jobs="$j" \
+      build/bench/fgdsm-bench table3 --app=jacobi --scale=0.05 --jobs="$j" \
         --check-coherence --faults="crashp=0.002,seed=1" \
         --checkpoint-every=4 --json="results/crash_j$j.json"
     done
@@ -207,7 +212,7 @@ case "$job" in
     # terminate with the documented exit code and name the crashed node —
     # never hang, never print a result.
     rc=0
-    build/bench/bench_table3 --app=jacobi --scale=0.05 \
+    build/bench/fgdsm-bench table3 --app=jacobi --scale=0.05 \
       --faults="crash=1@2000000,seed=1" >/dev/null \
       2>results/crash_norecover.log || rc=$?
     if [[ "$rc" -ne 87 ]]; then
@@ -231,9 +236,9 @@ case "$job" in
     # PERF_ALLOCS_ONLY=1: allocs/event (host-independent) stays a hard gate
     # and throughput is reported as a trend in the selfperf.json artifact.
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "$@"
-    cmake --build build -j "$jobs" --target bench_selfperf
+    cmake --build build -j "$jobs" --target fgdsm-bench
     mkdir -p results
-    build/bench/bench_selfperf --reps=3 --json=results/selfperf.json
+    build/bench/fgdsm-bench selfperf --reps=3 --json=results/selfperf.json
     allocs_flag=""
     [[ "${PERF_ALLOCS_ONLY:-0}" == "1" ]] && allocs_flag="--allocs-only"
     python3 scripts/check_perf.py results/selfperf.json \
@@ -248,12 +253,12 @@ case "$job" in
     # links/touched pages, not nodes^2), normalized throughput gets the
     # same 20% band as the perf job (or trend-only with PERF_ALLOCS_ONLY=1).
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "$@"
-    cmake --build build -j "$jobs" --target bench_scale
+    cmake --build build -j "$jobs" --target fgdsm-bench
     mkdir -p results
-    build/bench/bench_scale --nodes-list=64 --check-coherence \
+    build/bench/fgdsm-bench scale --nodes-list=64 --check-coherence \
       --json=results/scale_smoke.json
     python3 scripts/check_results_json.py results/scale_smoke.json
-    build/bench/bench_scale --reps=3 --perf-json=results/scale_perf.json
+    build/bench/fgdsm-bench scale --reps=3 --perf-json=results/scale_perf.json
     allocs_flag=""
     [[ "${PERF_ALLOCS_ONLY:-0}" == "1" ]] && allocs_flag="--allocs-only"
     python3 scripts/check_perf.py results/scale_perf.json \
@@ -271,14 +276,26 @@ case "$job" in
       -R "Determinism|PartitionMerge|SimThreads"
     mkdir -p results
     for st in 1 4; do
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --scale=0.05 \
+      FGDSM_HOST_CORES=4 build/bench/fgdsm-bench table3 --scale=0.05 \
         --sim-threads="$st" --check-coherence \
         --json="results/simthreads_st$st.json"
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --scale=0.05 \
+      FGDSM_HOST_CORES=4 build/bench/fgdsm-bench table3 --scale=0.05 \
         --sim-threads="$st" --check-coherence \
         --faults="drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=1" \
         --json="results/simthreads_chaos_st$st.json"
     done
+    # 256 nodes: chaos draws consume per-link counters on every partition
+    # worker at once.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/fgdsm-bench table3 --app=jacobi \
+        --nodes=256 --scale=0.02 --sim-threads="$st" --check-coherence \
+        --faults="drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=1" \
+        --json="results/simthreads_n256_st$st.json"
+    done
+    cmp results/simthreads_n256_st1.json results/simthreads_n256_st4.json || {
+      echo "simthreads: 256-node chaos results differ across --sim-threads" >&2
+      exit 1
+    }
     cmp results/simthreads_st1.json results/simthreads_st4.json || {
       echo "simthreads: fault-free results differ across --sim-threads" >&2
       exit 1
@@ -289,14 +306,17 @@ case "$job" in
     }
     python3 scripts/check_chaos.py results/simthreads_st1.json \
       results/simthreads_chaos_st1.json results/simthreads_chaos_st4.json
-    echo "simthreads: results byte-identical at --sim-threads={1,4}"
+    echo "simthreads: results byte-identical at --sim-threads={1,4}" \
+      "(8 and 256 nodes)"
     ;;
   tsan)
-    # ThreadSanitizer over the worker crew + outbox merge and the run's
-    # shared plan store. Only plain-thread tests run: the PDES partition
-    # tests exercise the full windowed machinery (barrier, cross-partition
-    # merge, budget) with plain callables, and the PlanStoreThreads tests
-    # hammer concurrent plan-store lookups from std::threads. The
+    # ThreadSanitizer over the worker crew + outbox merge, the run's shared
+    # plan store and the fault injector's per-source counters. Only
+    # plain-thread tests run: the PDES partition tests exercise the full
+    # windowed machinery (barrier, cross-partition merge, budget) with plain
+    # callables, the PlanStoreThreads tests hammer concurrent plan-store
+    # lookups from std::threads, and FaultInjectorThreads draws verdicts for
+    # disjoint sources from std::threads. The
     # fiber-based suites stay out — TSan cannot follow ucontext stack
     # switches and reports false positives on every fiber hand-off.
     cmake -B build-tsan -S . \
@@ -305,9 +325,9 @@ case "$job" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
     cmake --build build-tsan -j "$jobs" --target pdes_partition_test \
-      plan_store_test
+      plan_store_test chaos_test
     FGDSM_HOST_CORES=8 ctest --test-dir build-tsan --output-on-failure \
-      -R "PartitionMerge|PlanStoreThreads"
+      -R "PartitionMerge|PlanStoreThreads|FaultInjectorThreads"
     ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \

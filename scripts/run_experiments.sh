@@ -6,14 +6,14 @@
 # forwarded to every harness, so a whole-suite chaos sweep is just
 # --faults=drop=0.01,seed=42 (see README "Fault injection & reliability").
 #
-# Harnesses are discovered from build/bench/bench_* (no hardcoded list), so
-# new experiments join the sweep by existing. --jobs defaults to the host
+# Sweeps are discovered from `fgdsm-bench --list` (no hardcoded list), so
+# new experiments join the run by existing. --jobs defaults to the host
 # core count; results are byte-identical at any job count (the simulator is
 # deterministic and batch execution only reorders wall-clock, never virtual
 # time — see src/exec/batch.h).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-BIN=build/bench
+BIN=build/bench/fgdsm-bench
 
 ARGS=()
 have_jobs=0
@@ -32,29 +32,17 @@ fi
 
 mkdir -p results
 
-run() {
-  local name="$1"; shift
-  echo "=== $name ${ARGS[*]-} ==="
-  "$BIN/$name" "${ARGS[@]}" "--json=results/$name.json" \
-    | tee "results/$name.txt"
-  echo
-}
-
-found=0
-for bin in "$BIN"/bench_*; do
-  [[ -x "$bin" ]] || continue
-  name="$(basename "$bin")"
-  # bench_micro is a google-benchmark binary (host microbenchmarks, own
-  # flag syntax); it is not part of the paper-results sweep.
-  [[ "$name" == bench_micro ]] && continue
-  # bench_selfperf measures the simulator itself (host throughput, allocs);
-  # it rejects --jobs and is gated separately by scripts/ci.sh perf.
-  [[ "$name" == bench_selfperf ]] && continue
-  run "$name"
-  found=1
-done
-if [[ $found -eq 0 ]]; then
-  echo "no bench binaries under $BIN — build first (cmake --build build)" >&2
+if [[ ! -x "$BIN" ]]; then
+  echo "no $BIN — build first (cmake --build build)" >&2
   exit 1
 fi
+for sweep in $("$BIN" --list); do
+  # selfperf measures the simulator itself (host throughput, allocs); it
+  # rejects --jobs and is gated separately by scripts/ci.sh perf.
+  [[ "$sweep" == selfperf ]] && continue
+  echo "=== $sweep ${ARGS[*]-} ==="
+  "$BIN" "$sweep" "${ARGS[@]}" "--json=results/bench_$sweep.json" \
+    | tee "results/bench_$sweep.txt"
+  echo
+done
 echo "All results written to results/"

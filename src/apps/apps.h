@@ -47,7 +47,7 @@ hpf::Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters);
 // storage — the irregular workload for the inspector–executor runtime.
 // pattern 0 = banded indirection (gather intervals survive block trimming),
 // pattern 1 = hashed (scattered; trims to the default protocol). Not in the
-// registry: driven by bench_irreg, not the paper-suite benches.
+// registry: driven by fgdsm-bench irreg, not the paper-suite benches.
 hpf::Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
                   std::int64_t pattern);
 

@@ -32,7 +32,7 @@ ParallelLoop half_sweep(const char* name, int color) {
   loop.dist = LoopVar{"k", AffineExpr(1), N - 2};
   loop.free.push_back(LoopVar{"i", AffineExpr(1), N - 2});
   loop.free.push_back(LoopVar{"j", AffineExpr(1), N - 2});
-  loop.home_array = "u";
+  loop.home_array = std::string("u");  // GCC 12 -Wrestrict false positive
   loop.home_sub = K;
   loop.reads = {{"u", {I, J, K}},     {"u", {I - 1, J, K}},
                 {"u", {I + 1, J, K}}, {"u", {I, J - 1, K}},
@@ -80,7 +80,7 @@ Program pde(std::int64_t n, std::int64_t iters) {
     init.dist = LoopVar{"k", AffineExpr(0), N - 1};
     init.free.push_back(LoopVar{"i", AffineExpr(0), N - 1});
     init.free.push_back(LoopVar{"j", AffineExpr(0), N - 1});
-    init.home_array = "u";
+    init.home_array = std::string("u");
     init.home_sub = K;
     init.writes = {{"u", {I, J, K}}, {"f", {I, J, K}}, {"r", {I, J, K}}};
     init.cost_per_iter_ns = costs::kInitNs;
@@ -117,7 +117,7 @@ Program pde(std::int64_t n, std::int64_t iters) {
     res.dist = LoopVar{"k", AffineExpr(1), N - 2};
     res.free.push_back(LoopVar{"i", AffineExpr(1), N - 2});
     res.free.push_back(LoopVar{"j", AffineExpr(1), N - 2});
-    res.home_array = "u";
+    res.home_array = std::string("u");
     res.home_sub = K;
     res.reads = {{"u", {I, J, K}},     {"u", {I - 1, J, K}},
                  {"u", {I + 1, J, K}}, {"u", {I, J - 1, K}},

@@ -21,7 +21,7 @@
 // schedule cache models.
 //
 // Deliberately not in apps::registry(): the paper-suite benches stay
-// byte-stable; bench_irreg drives this app directly.
+// byte-stable; fgdsm-bench irreg drives this app directly.
 #include <cmath>
 #include <cstdint>
 

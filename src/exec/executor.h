@@ -42,7 +42,7 @@ struct RunResult {
   util::RunStats stats;            // snapshot at program completion
   std::map<std::string, std::vector<double>> arrays;  // if gathered
   std::map<std::string, double> scalars;              // final (node 0)
-  // Host-side throughput accounting (bench_selfperf): how many engine
+  // Host-side throughput accounting (fgdsm-bench selfperf): how many engine
   // events the run processed. Deterministic (a simulated quantity), but
   // deliberately kept out of the fgdsm-bench-v1 JSON schema.
   std::uint64_t engine_events = 0;

@@ -1,6 +1,6 @@
 // All timing constants of the simulated platform, in one place.
 //
-// The constants are calibrated so the microbenchmarks of bench_table1
+// The constants are calibrated so the microbenchmarks of fgdsm-bench table1
 // reproduce the paper's Table 1 on the default configuration:
 //   - minimum roundtrip latency for a short (4-byte) message ~ 40 us
 //   - network bandwidth ~ 20 MB/s

@@ -101,26 +101,15 @@ class FaultInjector {
   std::uint64_t hash(int src, int dst, std::uint64_t n, std::uint64_t salt)
       const;
 
-  // Per-link message index. At paper scale (<= kFlatLinkNodes) a flat
-  // nnodes^2 vector — the historical layout, untouched. Above that the
-  // counters live in a hash map keyed src*nnodes+dst and materialize on a
-  // link's first wire crossing, so an idle link costs nothing (a 1024-node
-  // cluster would otherwise hold ~1M counters up front). The hash() draw is
-  // keyed on (seed, link, index) either way, so fault sequences are
-  // bit-identical across layouts.
-  std::uint64_t& link_counter(std::size_t link) {
-    if (!link_count_.empty()) return link_count_[link];
-    return link_sparse_[link];  // value-initialized to 0 on first use
-  }
-
-  // Node-count threshold for the flat vs lazy counter layout.
-  static constexpr int kFlatLinkNodes = 64;
-
+  // Per-link message indices, sharded by source node: link_count_[src] maps
+  // dst -> index and materializes on the link's first wire crossing, so an
+  // idle link costs nothing. A source's messages are always sent from its
+  // own engine partition, so concurrent --sim-threads workers never touch
+  // the same shard. Draws stay keyed on (seed, link, index).
   FaultConfig cfg_;
   int nnodes_;
   Time window_;
-  std::vector<std::uint64_t> link_count_;  // flat layout (small clusters)
-  std::unordered_map<std::uint64_t, std::uint64_t> link_sparse_;  // lazy
+  std::vector<std::unordered_map<int, std::uint64_t>> link_count_;
   std::vector<util::NodeStats*> stats_;
 };
 

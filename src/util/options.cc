@@ -32,7 +32,9 @@ Options::Options(int argc, const char* const* argv) {
     if (eq != std::string::npos)
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     else
-      values_[arg] = "1";  // bare flag == boolean true
+      // Bare flag == boolean true. (A std::string, not "1": GCC 12 reports
+      // a spurious -Wrestrict on operator=(const char*) here.)
+      values_[arg] = std::string("1");
   }
 }
 

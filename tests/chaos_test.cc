@@ -15,9 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "bench/common.h"
+#include "bench/driver.h"
 #include "src/apps/apps.h"
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
@@ -129,6 +130,52 @@ TEST(FaultInjector, ZeroRatesNeverFault) {
   }
 }
 
+// Engine partition workers call decide() concurrently, each for the sources
+// it owns: per-source counter shards must keep that race-free (scripts/ci.sh
+// tsan runs this under ThreadSanitizer) and every source's verdicts equal to
+// a single-threaded run's.
+TEST(FaultInjectorThreads, DisjointSourcesMatchSingleThreadedRun) {
+  constexpr int kNodes = 256;
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 64;
+  sim::FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.drop = 0.2;
+  cfg.dup = 0.1;
+  cfg.delay = 0.3;
+  cfg.reorder = 0.1;
+  cfg.seed = 5;
+  // Each source sends to a spread of destinations, several times each.
+  const auto draws = [&](sim::FaultInjector& inj, int src) {
+    std::vector<sim::FaultInjector::Decision> out;
+    for (int i = 0; i < kDraws; ++i)
+      out.push_back(inj.decide(src, (src * 7 + i * 13) % kNodes));
+    return out;
+  };
+  sim::FaultInjector serial(cfg, kNodes, 1000);
+  std::vector<std::vector<sim::FaultInjector::Decision>> want(kNodes);
+  for (int src = 0; src < kNodes; ++src) want[src] = draws(serial, src);
+
+  sim::FaultInjector shared(cfg, kNodes, 1000);
+  std::vector<std::vector<sim::FaultInjector::Decision>> got(kNodes);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (int src = t; src < kNodes; src += kThreads)
+        got[src] = draws(shared, src);
+    });
+  for (std::thread& w : workers) w.join();
+  for (int src = 0; src < kNodes; ++src) {
+    ASSERT_EQ(got[src].size(), want[src].size());
+    for (int i = 0; i < kDraws; ++i) {
+      EXPECT_EQ(got[src][i].drop, want[src][i].drop) << src << "/" << i;
+      EXPECT_EQ(got[src][i].duplicate, want[src][i].duplicate) << src;
+      EXPECT_EQ(got[src][i].extra_delay, want[src][i].extra_delay) << src;
+      EXPECT_EQ(got[src][i].dup_delay, want[src][i].dup_delay) << src;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Strict flag parsing.
 
@@ -155,25 +202,79 @@ TEST(OptionsStrict, KnownFlagsPass) {
   o.check_known({"trace", "scale"});  // must not exit
 }
 
+// The driver's parser (bench/driver.h): `fgdsm-bench <sweep> [flags]`.
+bench::Args parse(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "fgdsm-bench");
+  return bench::parse(static_cast<int>(argv.size()), argv.data());
+}
+
 // An --app that names no workload would filter out every run and print
 // empty tables; it is rejected like an unknown flag.
 TEST(OptionsStrictDeathTest, UnknownAppExits2WithSuggestion) {
-  const char* typo[] = {"bench", "--app=jacobo"};
-  EXPECT_EXIT(bench::BenchConfig::from_args(2, typo),
-              ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(parse({"table3", "--app=jacobo"}), ::testing::ExitedWithCode(2),
               "unknown --app=jacobo \\(did you mean --app=jacobi\\?\\)");
-  const char* nonsense[] = {"bench", "--app=xyzzy"};
-  EXPECT_EXIT(bench::BenchConfig::from_args(2, nonsense),
-              ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(parse({"table3", "--app=xyzzy"}), ::testing::ExitedWithCode(2),
               "unknown --app=xyzzy \\(known: pde, .*spmv\\)");
 }
 
 TEST(OptionsStrict, KnownAppsPass) {
-  for (const char* arg : {"--app=lu", "--app=spmv"}) {
-    const char* argv[] = {"bench", arg};
-    EXPECT_EQ(*bench::BenchConfig::from_args(2, argv).only_app,
-              std::string(arg).substr(6));
-  }
+  for (const char* arg : {"--app=lu", "--app=spmv"})
+    EXPECT_EQ(*parse({"table3", arg}).app, std::string(arg).substr(6));
+}
+
+TEST(OptionsStrictDeathTest, FlagTypoExits2WithSuggestion) {
+  EXPECT_EXIT(parse({"paper", "--tarce=x.json"}), ::testing::ExitedWithCode(2),
+              "unknown option --tarce \\(did you mean --trace\\?\\)");
+}
+
+TEST(OptionsStrictDeathTest, BadFaultSpecExits2) {
+  EXPECT_EXIT(parse({"table3", "--faults=dorp=0.01"}),
+              ::testing::ExitedWithCode(2), "bad --faults spec: .*dorp");
+}
+
+TEST(DriverDeathTest, UnknownSweepExits2WithSuggestion) {
+  EXPECT_EXIT(parse({"tabel3"}), ::testing::ExitedWithCode(2),
+              "unknown sweep tabel3 \\(did you mean table3\\?\\)");
+  EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2), "usage: fgdsm-bench");
+}
+
+// Each sweep accepts only its own extra flags.
+TEST(DriverDeathTest, FlagOfAnotherSweepExits2) {
+  EXPECT_EQ(parse({"irreg", "--pattern=band"}).flags.get("pattern"), "band");
+  EXPECT_EXIT(parse({"table3", "--pattern=band"}),
+              ::testing::ExitedWithCode(2), "unknown option --pattern");
+  EXPECT_EXIT(parse({"selfperf", "--jobs=4"}), ::testing::ExitedWithCode(2),
+              "unknown option --jobs");
+}
+
+// Run options live in the parsed value, so a second parse in the same
+// process starts from the defaults.
+TEST(Driver, ParsingTwiceLeaksNoState) {
+  const bench::Args first =
+      parse({"table3", "--trace=t.json", "--faults=drop=0.1,seed=3",
+             "--sim-threads=4", "--plan-cache=0", "--check-coherence",
+             "--collectives=binomial", "--checkpoint-every=4"});
+  EXPECT_EQ(first.trace_path, "t.json");
+  const hpf::Program prog = apps::jacobi(32, 1);
+  const exec::RunConfig f = bench::make_spec(first, prog, "o2").config;
+  EXPECT_TRUE(f.cluster.faults.enabled);
+  EXPECT_GT(f.cluster.watchdog_ns, 0);
+  EXPECT_EQ(f.cluster.sim_threads, 4);
+  EXPECT_FALSE(f.opt.plan_cache);
+
+  const bench::Args second = parse({"table3"});
+  EXPECT_EQ(second.trace_path, "");
+  const exec::RunConfig c = bench::make_spec(second, prog, "o2").config;
+  EXPECT_FALSE(c.cluster.faults.enabled);
+  EXPECT_EQ(c.cluster.watchdog_ns, 0);
+  EXPECT_EQ(c.cluster.sim_threads, 1);
+  EXPECT_EQ(c.cluster.checkpoint_every, 0);
+  EXPECT_EQ(c.cluster.collectives, tempest::Collectives::kFlat);
+  EXPECT_FALSE(c.cluster.check_coherence);
+  EXPECT_TRUE(c.opt.plan_cache);
+  EXPECT_EQ(c.trace_path, "");
+  EXPECT_EQ(c.cluster.nnodes, 8);
+  EXPECT_TRUE(c.cluster.dual_cpu);
 }
 
 // ---------------------------------------------------------------------------
