@@ -16,7 +16,8 @@
 #                            and irreg sweeps at 8 and 256 nodes, two seeds
 #                            each; recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
-#                            across --sim-threads={1,4} and --jobs={1,4};
+#                            across --sim-threads={1,4} (8 and 256 nodes)
+#                            and --jobs={1,4};
 #                            a crash with --checkpoint-every=0 must exit 87
 #                            naming the crashed node
 #   scripts/ci.sh perf       perf-regression gate: fgdsm-bench selfperf vs the
@@ -197,6 +198,18 @@ case "$job" in
       echo "crash: recovered results differ across --sim-threads" >&2
       exit 1
     }
+    # The same matrix at 256 nodes, where concurrent partitions detect the
+    # crash and roll back together.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/fgdsm-bench table3 --nodes=256 \
+        --app=jacobi --scale=0.02 --sim-threads="$st" --check-coherence \
+        --faults="crash=7@15000000,crashp=0.0002,seed=1" \
+        --checkpoint-every=4 --json="results/crash_n256_st$st.json"
+    done
+    cmp results/crash_n256_st1.json results/crash_n256_st4.json || {
+      echo "crash: 256-node recovered results differ across --sim-threads" >&2
+      exit 1
+    }
     for j in 1 4; do
       build/bench/fgdsm-bench table3 --app=jacobi --scale=0.05 --jobs="$j" \
         --check-coherence --faults="crashp=0.002,seed=1" \
@@ -207,7 +220,7 @@ case "$job" in
       exit 1
     }
     echo "crash: recovered results byte-identical at --sim-threads={1,4}" \
-      "and --jobs={1,4}"
+      "(8 and 256 nodes) and --jobs={1,4}"
     # Unrecoverable-crash path: with checkpointing disabled a crash must
     # terminate with the documented exit code and name the crashed node —
     # never hang, never print a result.

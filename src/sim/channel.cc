@@ -20,27 +20,17 @@ ReliableChannel::ReliableChannel(Engine& engine, Network& net, int nnodes,
       net_(net),
       nnodes_(nnodes),
       cfg_(cfg),
+      tx_(static_cast<std::size_t>(nnodes)),
+      rx_(static_cast<std::size_t>(nnodes)),
       deliver_(static_cast<std::size_t>(nnodes)) {
   FGDSM_ASSERT(nnodes >= 1);
   FGDSM_ASSERT_MSG(cfg_.rto_ns > 0, "channel rto must be positive");
   FGDSM_ASSERT(cfg_.max_retries >= 0);
-  if (flat()) {
-    // Paper scale: the historical dense layout, no per-message hashing.
-    tx_.resize(static_cast<std::size_t>(nnodes) *
-               static_cast<std::size_t>(nnodes));
-    rx_.resize(static_cast<std::size_t>(nnodes) *
-               static_cast<std::size_t>(nnodes));
-  } else {
-    // Large clusters: per-link books materialize on first traffic only.
-    tx_sparse_.resize(static_cast<std::size_t>(nnodes));
-    rx_sparse_.resize(static_cast<std::size_t>(nnodes));
-  }
 }
 
 ReliableChannel::TxLink& ReliableChannel::tx(int src, int dst) {
-  if (flat()) return tx_[link(src, dst)];
-  auto [it, created] =
-      tx_sparse_[static_cast<std::size_t>(src)].try_emplace(dst);
+  FGDSM_DCHECK(owned(src));
+  auto [it, created] = tx_[static_cast<std::size_t>(src)].try_emplace(dst);
   if (created && initial_seq_ > 0) {
     it->second.next_seq = initial_seq_;
     it->second.acked = initial_seq_;
@@ -50,9 +40,8 @@ ReliableChannel::TxLink& ReliableChannel::tx(int src, int dst) {
 }
 
 ReliableChannel::RxLink& ReliableChannel::rx(int src, int dst) {
-  if (flat()) return rx_[link(src, dst)];
-  auto [it, created] =
-      rx_sparse_[static_cast<std::size_t>(dst)].try_emplace(src);
+  FGDSM_DCHECK(owned(dst));
+  auto [it, created] = rx_[static_cast<std::size_t>(dst)].try_emplace(src);
   if (created && initial_seq_ > 0) {
     it->second.cum = initial_seq_;
     it->second.last_ack_sent = initial_seq_;
@@ -61,15 +50,15 @@ ReliableChannel::RxLink& ReliableChannel::rx(int src, int dst) {
 }
 
 ReliableChannel::TxLink* ReliableChannel::tx_find(int src, int dst) {
-  if (flat()) return &tx_[link(src, dst)];
-  auto& m = tx_sparse_[static_cast<std::size_t>(src)];
+  FGDSM_DCHECK(owned(src));
+  auto& m = tx_[static_cast<std::size_t>(src)];
   auto it = m.find(dst);
   return it == m.end() ? nullptr : &it->second;
 }
 
 ReliableChannel::RxLink* ReliableChannel::rx_find(int src, int dst) {
-  if (flat()) return &rx_[link(src, dst)];
-  auto& m = rx_sparse_[static_cast<std::size_t>(dst)];
+  FGDSM_DCHECK(owned(dst));
+  auto& m = rx_[static_cast<std::size_t>(dst)];
   auto it = m.find(src);
   return it == m.end() ? nullptr : &it->second;
 }
@@ -83,21 +72,10 @@ void ReliableChannel::attach(int node, Network::DeliverFn deliver) {
 }
 
 void ReliableChannel::set_initial_seq(std::uint64_t seq) {
-  initial_seq_ = seq;
-  for (TxLink& t : tx_) {
-    FGDSM_ASSERT_MSG(t.next_seq == 0 && t.live_count == 0,
-                     "set_initial_seq after traffic started");
-    t.next_seq = seq;
-    t.acked = seq;
-    t.win_base = seq + 1;
-  }
-  for (RxLink& r : rx_) {
-    r.cum = seq;
-    r.last_ack_sent = seq;
-  }
-  // Sparse layout: links created later inherit initial_seq_ in tx()/rx().
-  for (const auto& m : tx_sparse_)
+  for (const auto& m : tx_)
     FGDSM_ASSERT_MSG(m.empty(), "set_initial_seq after traffic started");
+  // Links materialize later and inherit initial_seq_ in tx()/rx().
+  initial_seq_ = seq;
 }
 
 ReliableChannel::TxSlot* ReliableChannel::find_slot(TxLink& t,
@@ -306,11 +284,9 @@ void ReliableChannel::reset_for_recovery() {
   // direction, so any copy still in flight from the abandoned timeline
   // compares <= the base and is suppressed as a duplicate.
   std::uint64_t base = initial_seq_;
-  for (const TxLink& t : tx_) base = std::max(base, t.next_seq);
-  for (const RxLink& r : rx_) base = std::max(base, r.cum);
-  for (const auto& m : tx_sparse_)
+  for (const auto& m : tx_)
     for (const auto& [d, t] : m) base = std::max(base, t.next_seq);
-  for (const auto& m : rx_sparse_)
+  for (const auto& m : rx_)
     for (const auto& [s, r] : m) base = std::max(base, r.cum);
 
   const auto reset_tx = [base](TxLink& t) {
@@ -326,45 +302,25 @@ void ReliableChannel::reset_for_recovery() {
     r.ack_timer_armed = false;
     r.ooo.clear();
   };
-  for (TxLink& t : tx_) reset_tx(t);
-  for (RxLink& r : rx_) reset_rx(r);
-  for (auto& m : tx_sparse_)
+  for (auto& m : tx_)
     for (auto& [d, t] : m) reset_tx(t);
-  for (auto& m : rx_sparse_)
+  for (auto& m : rx_)
     for (auto& [s, r] : m) reset_rx(r);
   // Links materializing after recovery inherit the same base (tx()/rx()).
   initial_seq_ = base;
 }
 
 std::size_t ReliableChannel::resident_links() const {
-  // Distinct directed links with resident (sparse) or touched (flat) state.
-  std::vector<std::pair<int, int>> pairs = active_links();
-  if (!flat()) return pairs.size();
-  std::size_t n = 0;
-  for (const auto& [s, d] : pairs) {
-    const TxLink& t = tx_[link(s, d)];
-    const RxLink& r = rx_[link(s, d)];
-    if (t.next_seq > initial_seq_ || !t.ring.empty() ||
-        r.cum > initial_seq_ || !r.ooo.empty() || r.ack_timer_armed)
-      ++n;
-  }
-  return n;
+  return active_links().size();
 }
 
 std::vector<std::pair<int, int>> ReliableChannel::active_links() const {
   std::vector<std::pair<int, int>> pairs;
-  if (flat()) {
-    pairs.reserve(static_cast<std::size_t>(nnodes_) *
-                  static_cast<std::size_t>(nnodes_));
-    for (int s = 0; s < nnodes_; ++s)
-      for (int d = 0; d < nnodes_; ++d) pairs.emplace_back(s, d);
-    return pairs;
-  }
   for (int s = 0; s < nnodes_; ++s)
-    for (const auto& [d, t] : tx_sparse_[static_cast<std::size_t>(s)])
+    for (const auto& [d, t] : tx_[static_cast<std::size_t>(s)])
       pairs.emplace_back(s, d);
   for (int d = 0; d < nnodes_; ++d)
-    for (const auto& [s, r] : rx_sparse_[static_cast<std::size_t>(d)])
+    for (const auto& [s, r] : rx_[static_cast<std::size_t>(d)])
       pairs.emplace_back(s, d);
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
@@ -373,45 +329,33 @@ std::vector<std::pair<int, int>> ReliableChannel::active_links() const {
 
 std::string ReliableChannel::describe_state() const {
   std::ostringstream os;
+  static const TxLink kNoTx;
+  static const RxLink kNoRx;
   for (const auto& [s, d] : active_links()) {
-    {
-      auto tx_at = [&](int a, int b) -> const TxLink* {
-        if (flat()) return &tx_[link(a, b)];
-        const auto& m = tx_sparse_[static_cast<std::size_t>(a)];
-        auto it = m.find(b);
-        return it == m.end() ? nullptr : &it->second;
-      };
-      auto rx_at = [&](int a, int b) -> const RxLink* {
-        if (flat()) return &rx_[link(a, b)];
-        const auto& m = rx_sparse_[static_cast<std::size_t>(b)];
-        auto it = m.find(a);
-        return it == m.end() ? nullptr : &it->second;
-      };
-      static const TxLink kNoTx;
-      static const RxLink kNoRx;
-      const TxLink* tp = tx_at(s, d);
-      const RxLink* rp = rx_at(s, d);
-      const TxLink& t = tp != nullptr ? *tp : kNoTx;
-      const RxLink& r = rp != nullptr ? *rp : kNoRx;
-      if (t.live_count == 0 && r.ooo.empty()) continue;
-      os << "  link " << s << "->" << d << ":";
-      if (t.live_count > 0) {
-        const TxSlot* oldest = nullptr;
-        for (std::uint64_t q = t.win_base; q <= t.next_seq && !oldest; ++q) {
-          const TxSlot& cand = t.ring[q & (t.ring.size() - 1)];
-          if (cand.live && cand.seq == q) oldest = &cand;
-        }
-        os << " " << t.live_count << " unacked";
-        if (oldest != nullptr)
-          os << " (oldest seq " << oldest->seq << " "
-             << type_name(oldest->msg.type) << ", acked through " << t.acked
-             << ")";
+    const auto& txs = tx_[static_cast<std::size_t>(s)];
+    const auto& rxs = rx_[static_cast<std::size_t>(d)];
+    const auto ti = txs.find(d);
+    const auto ri = rxs.find(s);
+    const TxLink& t = ti != txs.end() ? ti->second : kNoTx;
+    const RxLink& r = ri != rxs.end() ? ri->second : kNoRx;
+    if (t.live_count == 0 && r.ooo.empty()) continue;
+    os << "  link " << s << "->" << d << ":";
+    if (t.live_count > 0) {
+      const TxSlot* oldest = nullptr;
+      for (std::uint64_t q = t.win_base; q <= t.next_seq && !oldest; ++q) {
+        const TxSlot& cand = t.ring[q & (t.ring.size() - 1)];
+        if (cand.live && cand.seq == q) oldest = &cand;
       }
-      if (!r.ooo.empty())
-        os << " " << r.ooo.size() << " buffered out-of-order at receiver"
-           << " (delivered through " << r.cum << ")";
-      os << "\n";
+      os << " " << t.live_count << " unacked";
+      if (oldest != nullptr)
+        os << " (oldest seq " << oldest->seq << " "
+           << type_name(oldest->msg.type) << ", acked through " << t.acked
+           << ")";
     }
+    if (!r.ooo.empty())
+      os << " " << r.ooo.size() << " buffered out-of-order at receiver"
+         << " (delivered through " << r.cum << ")";
+    os << "\n";
   }
   std::string out = os.str();
   if (out.empty()) return out;

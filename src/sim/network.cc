@@ -56,6 +56,10 @@ Time Network::send(Time earliest, Message msg) {
 
   FaultInjector::Decision verdict;
   if (fault_ != nullptr && msg.dst != msg.src) {
+    // The injector shards its counters by source node (it holds no engine):
+    // only the source's partition may draw.
+    FGDSM_DCHECK(engine_.partition_of_node(msg.src) ==
+                 engine_.current_partition_id());
     verdict = fault_->decide(msg.src, msg.dst);
     if (verdict.drop) {
       // The wire ate it: the sender still paid injection, nothing arrives.

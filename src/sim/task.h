@@ -3,8 +3,8 @@
 //
 // Implementation: each Task runs its body on a ucontext fiber. Exactly one
 // of {the partition's engine loop, one of its tasks} executes at any host
-// instant: a task belongs to one event partition (set_partition), windowed
-// runs pin each partition to one worker thread for the whole run, and the
+// instant: a task belongs to one event partition (set_partition), run()
+// pins each partition to one worker thread for the whole run, and the
 // fiber hand-off slot is thread-local — so the fiber never migrates between
 // host threads and the simulation stays deterministic and data-race-free by
 // construction. A baton pass costs a userspace swapcontext (~1 us) rather
@@ -115,7 +115,7 @@ class Task {
   void set_steal_counter(std::int64_t* c) { steal_counter_ = c; }
 
   // The event partition this task's resumes are scheduled into (the cluster
-  // maps node i to partition i; default 0 covers single-partition engines).
+  // maps node i to partition i; default 0).
   // Must be set before start().
   void set_partition(int p) { partition_ = p; }
   int partition() const { return partition_; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "src/apps/apps.h"
 #include "src/exec/executor.h"
@@ -161,8 +162,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{8, 128}, ShapeParam{8, 32},
                       ShapeParam{5, 64}, ShapeParam{1, 128}),
     [](const ::testing::TestParamInfo<ShapeParam>& info) {
-      return "n" + std::to_string(info.param.nnodes) + "_b" +
-             std::to_string(info.param.block);
+      std::ostringstream os;
+      os << "n" << info.param.nnodes << "_b" << info.param.block;
+      return os.str();
     });
 
 }  // namespace

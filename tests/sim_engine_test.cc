@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/task.h"
 #include "src/util/assert.h"
 
 namespace fgdsm::sim {
@@ -62,6 +65,45 @@ TEST(Engine, ExceptionPropagates) {
   Engine e;
   e.schedule(1, [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+// One partition: nothing crosses a partition boundary, so the whole run is
+// one unbounded window and the watchdog must fire on the handler event that
+// crosses the threshold, not at a window boundary that never comes.
+TEST(Engine, SinglePartitionWatchdogFiresOnTheStallingEvent) {
+  Engine e;
+  e.set_watchdog(10'000);
+  Task blocked(e, "blocked", [](Task& self) { self.block(); });
+  int fired = 0;
+  std::function<void()> timer = [&] {
+    if (++fired < 20) e.schedule_after(1000, timer);
+  };
+  e.schedule(1000, timer);
+  blocked.start(0);
+  try {
+    e.run();
+    FAIL() << "expected StallError";
+  } catch (const StallError& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "no compute-task progress for 11000 virtual ns "
+                  "(threshold 10000)"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(e.now(), 11000);
+}
+
+// One partition ignores the window lookahead: a task charging far past it
+// runs uncapped, in the single event that starts it.
+TEST(Engine, SinglePartitionRunsAsOneWindow) {
+  Engine e;
+  e.set_window_lookahead(1000);
+  Task t(e, "t", [](Task& self) { self.charge(1'000'000'000); });
+  t.start(0);
+  e.run();
+  EXPECT_TRUE(t.finished());
+  EXPECT_EQ(t.now(), 1'000'000'000);
+  EXPECT_EQ(e.events_processed(), 1u);
 }
 
 }  // namespace
