@@ -42,9 +42,9 @@
 #   scripts/ci.sh tsan       TSan build of the worker-crew path: the PDES
 #                            partition/merge tests, the plan-store hammer
 #                            tests and the fault-injector shard test run
-#                            with real threads on plain
-#                            callables (no ucontext fibers — TSan cannot
-#                            track fiber stack switches)
+#                            with real threads, plus the fiber tests (Task.*,
+#                            a 4-thread chaos run, a crash recovery) — the
+#                            fiber switch announces itself to TSan
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,9 +78,10 @@ case "$job" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
       "$@"
     cmake --build build-asan -j "$jobs"
-    # Fiber context switches (swapcontext) confuse ASan's stack bookkeeping
-    # unless it is told about them; detect_stack_use_after_return stays off
-    # for the same reason.
+    # The fiber switch tells ASan about every stack change
+    # (__sanitizer_start/finish_switch_fiber). detect_stack_use_after_return
+    # stays off: it moves locals to heap-allocated fake frames, which a
+    # checkpoint's copy of the fiber stack would not capture.
     ASAN_OPTIONS="detect_stack_use_after_return=0" \
       ctest --test-dir build-asan --output-on-failure -j "$jobs"
     ;;
@@ -324,23 +325,27 @@ case "$job" in
     ;;
   tsan)
     # ThreadSanitizer over the worker crew + outbox merge, the run's shared
-    # plan store and the fault injector's per-source counters. Only
-    # plain-thread tests run: the PDES partition tests exercise the full
-    # windowed machinery (barrier, cross-partition merge, budget) with plain
-    # callables, the PlanStoreThreads tests hammer concurrent plan-store
-    # lookups from std::threads, and FaultInjectorThreads draws verdicts for
-    # disjoint sources from std::threads. The
-    # fiber-based suites stay out — TSan cannot follow ucontext stack
-    # switches and reports false positives on every fiber hand-off.
+    # plan store, the fault injector's per-source counters and the fibers.
+    # The PDES partition tests exercise the full windowed machinery
+    # (barrier, cross-partition merge, budget) with plain callables, the
+    # PlanStoreThreads tests hammer concurrent plan-store lookups from
+    # std::threads, and FaultInjectorThreads draws verdicts for disjoint
+    # sources from std::threads. The fiber switch announces every hand-off
+    # to TSan (__tsan_switch_to_fiber), so fiber-running tests are covered
+    # too: the Task unit tests, a chaos run on four engine workers, and a
+    # crash recovery that snapshots and restores every node's fiber.
     cmake -B build-tsan -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
     cmake --build build-tsan -j "$jobs" --target pdes_partition_test \
-      plan_store_test chaos_test
+      plan_store_test chaos_test sim_task_test crash_recovery_test
+    tsan_tests="PartitionMerge|PlanStoreThreads|FaultInjectorThreads|^Task\\."
+    tsan_tests+="|SimThreads\\.ChaosRunIsBitIdenticalAtFourThreads"
+    tsan_tests+="|CrashRecovery\\.ScheduledCrashRecoversBitIdentically"
     FGDSM_HOST_CORES=8 ctest --test-dir build-tsan --output-on-failure \
-      -R "PartitionMerge|PlanStoreThreads|FaultInjectorThreads"
+      -R "$tsan_tests"
     ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \

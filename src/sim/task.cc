@@ -1,41 +1,170 @@
 #include "src/sim/task.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "src/util/assert.h"
 
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "sim::Task's fiber switch is written for x86-64 Linux (SysV ABI) only"
+#endif
+
+#if defined(__has_feature)
+#define FGDSM_HAS_FEATURE(x) __has_feature(x)
+#else
+#define FGDSM_HAS_FEATURE(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || FGDSM_HAS_FEATURE(address_sanitizer)
+#define FGDSM_FIBER_ASAN 1
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__) || FGDSM_HAS_FEATURE(thread_sanitizer)
+#define FGDSM_FIBER_TSAN 1
+#include <sanitizer/tsan_interface.h>
+extern "C" void __tsan_func_entry(void* call_pc);
+#endif
+
+// The context switch. fgdsm_fiber_switch(save, load) pushes the callee-saved
+// registers and the MXCSR / x87 control words on the current stack, stores
+// the stack pointer to *save, loads `load` as the stack pointer and pops the
+// same frame from there: the call "returns" on the other stack. Every other
+// register is caller-saved under the SysV ABI, so the compiler has already
+// spilled what it needs around the call. A fresh stack is laid out by
+// Task::entry_frame() so that its first switch returns into
+// fgdsm_fiber_entry with the Task in r12 and Task::fiber_main in r13. The
+// entry stub marks the return address undefined, so unwinders and
+// backtraces stop at the fiber base.
+extern "C" void fgdsm_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void fgdsm_fiber_entry();
+asm(R"(
+  .text
+  .globl fgdsm_fiber_switch
+  .hidden fgdsm_fiber_switch
+  .type fgdsm_fiber_switch, @function
+  .p2align 4
+fgdsm_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size fgdsm_fiber_switch, .-fgdsm_fiber_switch
+
+  .globl fgdsm_fiber_entry
+  .hidden fgdsm_fiber_entry
+  .type fgdsm_fiber_entry, @function
+  .p2align 4
+fgdsm_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size fgdsm_fiber_entry, .-fgdsm_fiber_entry
+)");
+
 namespace fgdsm::sim {
 
 namespace {
-// Hand-off slot for fiber entry: makecontext cannot portably pass pointers.
-// The slot is per host thread (thread_local), which makes it per WORKER in
-// a run: the engine statically pins each partition — and so each of
-// its tasks — to one worker thread, so a fiber always enters and leaves on
-// the thread whose slot carried it. Independent simulations on other threads
-// (exec::BatchRunner) get their own slots the same way.
-thread_local Task* g_entering_task = nullptr;
-constexpr std::size_t kStackBytes = 512 * 1024;
+std::size_t guard_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+// Copies fiber stack bytes for a snapshot or a restore. In ASan builds a
+// parked fiber's frames keep their redzones poisoned, so the copy bypasses
+// the checked memcpy.
+#if FGDSM_FIBER_ASAN
+__attribute__((no_sanitize_address)) void copy_stack_bytes(
+    char* dst, const char* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    static_cast<volatile char*>(dst)[i] = src[i];
+}
+#else
+void copy_stack_bytes(char* dst, const char* src, std::size_t n) {
+  std::memcpy(dst, src, n);
+}
+#endif
 }  // namespace
 
 Task::Task(Engine& engine, std::string name, TaskFn body)
     : engine_(engine),
       name_(std::move(name)),
-      body_(std::move(body)),
-      stack_(kStackBytes) {
+      body_(std::move(body)) {
+  // Reserve guard + stack without committing it: pages materialize on first
+  // touch, and a task parked at a barrier touches only a few of them.
+  const std::size_t guard = guard_bytes();
+  void* map = mmap(nullptr, guard + kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+  FGDSM_ASSERT_MSG(map != MAP_FAILED, "task " << name_
+                                              << ": cannot map fiber stack");
+  FGDSM_ASSERT_MSG(mprotect(map, guard, PROT_NONE) == 0,
+                   "task " << name_ << ": cannot protect stack guard page");
+  stack_lo_ = static_cast<char*>(map) + guard;
   engine_.register_task(this);
 }
 
 Task::~Task() {
-  if (started_ && state_ != State::kFinished && state_ != State::kNotStarted) {
-    // Unwind the fiber: resuming with cancel_ set makes the next yield
-    // point throw Cancelled, which run_body() absorbs.
-    cancel_ = true;
-    resume_for_engine();
-    FGDSM_ASSERT(state_ == State::kFinished);
-  }
+  unwind();
   engine_.unregister_task(this);
+#if FGDSM_FIBER_TSAN
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
+#if FGDSM_FIBER_ASAN
+  // munmap leaves ASan's shadow as it was; a later mapping at this address
+  // must not inherit redzones of frames resurrected by restore().
+  ASAN_UNPOISON_MEMORY_REGION(stack_lo_, kStackBytes);
+#endif
+  munmap(stack_lo_ - guard_bytes(), guard_bytes() + kStackBytes);
+}
+
+void Task::unwind() {
+  if (sp_ == nullptr || state_ == State::kFinished) return;
+  // Resuming with cancel_ set makes the parked yield point throw Cancelled,
+  // which run_body() absorbs after every frame has released what it owns.
+  cancel_ = true;
+  resume_for_engine();
+  FGDSM_ASSERT(state_ == State::kFinished);
 }
 
 void Task::start(Time t) {
@@ -48,12 +177,11 @@ void Task::start(Time t) {
   });
 }
 
-void Task::trampoline_entry() {
-  Task* self = g_entering_task;
-  g_entering_task = nullptr;
+void Task::fiber_main(Task* self) noexcept {
+  self->landed_on_fiber();
   self->run_body();
-  // Falling off the trampoline resumes uc_link (the engine context saved by
-  // the final swap into this fiber).
+  self->leave_fiber(/*exiting=*/true);
+  std::abort();  // an exited fiber is never switched to again
 }
 
 void Task::run_body() {
@@ -61,7 +189,7 @@ void Task::run_body() {
     try {
       body_(*this);
     } catch (const Cancelled&) {
-      // Unwound by ~Task; nothing to record.
+      // Unwound by unwind(); nothing to record.
     } catch (...) {
       exception_ = std::current_exception();
     }
@@ -75,17 +203,9 @@ void Task::resume_for_engine() {
                    "resume before start");
   if (state_ == State::kBlocked && pending_wake_time_ > clock_)
     clock_ = pending_wake_time_;
-  const bool first = state_ == State::kReady && fiber_.uc_stack.ss_sp == nullptr;
   state_ = State::kRunning;
-  if (first) {
-    getcontext(&fiber_);
-    fiber_.uc_stack.ss_sp = stack_.data();
-    fiber_.uc_stack.ss_size = stack_.size();
-    fiber_.uc_link = &engine_ctx_;
-    makecontext(&fiber_, &Task::trampoline_entry, 0);
-    g_entering_task = this;
-  }
-  swapcontext(&engine_ctx_, &fiber_);
+  if (sp_ == nullptr) sp_ = entry_frame();
+  enter_fiber();
   if (exception_) {
     std::exception_ptr e = exception_;
     exception_ = nullptr;
@@ -93,8 +213,74 @@ void Task::resume_for_engine() {
   }
 }
 
+void* Task::entry_frame() {
+  // The frame fgdsm_fiber_switch pops, from the new stack pointer upward:
+  // control words, r15, r14, r13, r12, rbx, rbp, return address. The fiber
+  // inherits the engine's current floating-point modes; from then on they
+  // are per fiber. Two pad words keep the stack 16-byte aligned at the
+  // entry stub's call.
+  std::uint32_t mxcsr;
+  std::uint16_t fpucw;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpucw));
+  auto* top = reinterpret_cast<std::uint64_t*>(stack_lo_ + kStackBytes);
+  std::uint64_t* f = top - 10;
+  f[0] = mxcsr | (std::uint64_t{fpucw} << 32);
+  f[1] = f[2] = 0;                                         // r15, r14
+  f[3] = reinterpret_cast<std::uint64_t>(&Task::fiber_main);  // r13
+  f[4] = reinterpret_cast<std::uint64_t>(this);            // r12
+  f[5] = f[6] = 0;                                         // rbx, rbp
+  f[7] = reinterpret_cast<std::uint64_t>(&fgdsm_fiber_entry);
+  f[8] = f[9] = 0;
+  return f;
+}
+
+void Task::enter_fiber() {
+#if FGDSM_FIBER_TSAN
+  tsan_engine_ = __tsan_get_current_fiber();
+  if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+#if FGDSM_FIBER_ASAN
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, stack_lo_, kStackBytes);
+#endif
+  fgdsm_fiber_switch(&engine_sp_, sp_);
+#if FGDSM_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+#if FGDSM_FIBER_TSAN
+  if (state_ == State::kFinished) {  // TSan's per-fiber state is large
+    __tsan_destroy_fiber(tsan_fiber_);
+    tsan_fiber_ = nullptr;
+  }
+#endif
+}
+
+void Task::leave_fiber(bool exiting) {
+#if FGDSM_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_engine_, 0);
+#endif
+#if FGDSM_FIBER_ASAN
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &asan_fake_stack_,
+                                 engine_stack_lo_, engine_stack_bytes_);
+#else
+  (void)exiting;
+#endif
+  fgdsm_fiber_switch(&sp_, engine_sp_);
+  landed_on_fiber();
+}
+
+void Task::landed_on_fiber() {
+#if FGDSM_FIBER_ASAN
+  // Also learns the engine stack's bounds for the next switch back.
+  __sanitizer_finish_switch_fiber(asan_fake_stack_, &engine_stack_lo_,
+                                  &engine_stack_bytes_);
+#endif
+}
+
 void Task::switch_to_engine() {
-  swapcontext(&fiber_, &engine_ctx_);
+  leave_fiber(/*exiting=*/false);
   // Resumed by the engine.
   if (cancel_) throw Cancelled{};
   state_ = State::kRunning;
@@ -208,29 +394,24 @@ Task::Snapshot Task::snapshot() const {
   s.pending_wake_time = pending_wake_time_;
   s.wait_reason = wait_reason_;
   s.started = started_;
-  s.fiber = fiber_;
-  if (fiber_.uc_stack.ss_sp != nullptr) {
-    // Only the live region matters: the fiber stack grows downward from
-    // stack_.end(), so everything below the saved stack pointer (minus the
-    // ABI red zone) is dead. Falls back to the whole stack when the saved SP
-    // is not recoverable from the mcontext.
-    std::size_t off = 0;
-#if defined(__linux__) && defined(__x86_64__) && defined(REG_RSP)
-    const auto sp =
-        static_cast<std::uintptr_t>(fiber_.uc_mcontext.gregs[REG_RSP]);
-    const auto base = reinterpret_cast<std::uintptr_t>(stack_.data());
-    constexpr std::uintptr_t kRedZone = 256;  // ABI says 128; keep margin
-    if (sp > base + kRedZone && sp <= base + stack_.size())
-      off = static_cast<std::size_t>(sp - base - kRedZone);
-#endif
-    s.stack_offset = off;
-    s.stack.assign(stack_.begin() + static_cast<std::ptrdiff_t>(off),
-                   stack_.end());
+  s.sp = sp_;
+  if (sp_ != nullptr) {
+    // The fiber stack grows down from its top, and a parked fiber's saved
+    // registers sit at its saved stack pointer: [sp_, top) is all of it.
+    const char* sp = static_cast<const char*>(sp_);
+    s.stack.resize(static_cast<std::size_t>(stack_lo_ + kStackBytes - sp));
+    copy_stack_bytes(s.stack.data(), sp, s.stack.size());
   }
   return s;
 }
 
 void Task::restore(const Snapshot& s, Time resume_at) {
+  // The abandoned timeline's frames are unwound first, so the heap they own
+  // is freed rather than leaked when the snapshot's bytes overwrite them.
+  // Frames that were already live at the snapshot own no heap (checkpoints
+  // are taken at barriers, and the executor keeps its state host-resident
+  // there), so unwinding them too loses nothing the bytes do not restore.
+  unwind();
   ++epoch_;  // resume events from the abandoned timeline become no-ops
   clock_ = s.clock;
   state_ = s.state;
@@ -239,12 +420,27 @@ void Task::restore(const Snapshot& s, Time resume_at) {
   started_ = s.started;
   cancel_ = false;
   exception_ = nullptr;
-  fiber_ = s.fiber;
+  sp_ = s.sp;
+#if FGDSM_FIBER_ASAN
+  // The shadow describes the abandoned timeline's frames, not these.
+  ASAN_UNPOISON_MEMORY_REGION(stack_lo_, kStackBytes);
+#endif
+#if FGDSM_FIBER_TSAN
+  // TSan keeps a call stack per fiber, and the restored frames will return
+  // through calls it never saw enter: start them on a fresh fiber with
+  // enough placeholder frames that those returns cannot underflow it.
+  if (sp_ != nullptr) {
+    constexpr int kTsanRestoredDepth = 256;
+    void* engine_fiber = __tsan_get_current_fiber();
+    tsan_fiber_ = __tsan_create_fiber(0);
+    __tsan_switch_to_fiber(tsan_fiber_, __tsan_switch_to_fiber_no_sync);
+    for (int i = 0; i < kTsanRestoredDepth; ++i)
+      __tsan_func_entry(reinterpret_cast<void*>(&fgdsm_fiber_entry));
+    __tsan_switch_to_fiber(engine_fiber, __tsan_switch_to_fiber_no_sync);
+  }
+#endif
   if (!s.stack.empty())
-    std::copy(s.stack.begin(), s.stack.end(),
-              stack_.begin() + static_cast<std::ptrdiff_t>(s.stack_offset));
-  // fiber_.uc_stack/uc_link and the mcontext fpregs pointer reference this
-  // task's own members; restoring into the same Task keeps them valid.
+    copy_stack_bytes(static_cast<char*>(sp_), s.stack.data(), s.stack.size());
   if (state_ == State::kBlocked) {
     wake(resume_at);
   } else {
