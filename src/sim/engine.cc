@@ -237,9 +237,10 @@ void Engine::run() {
   tasks_done_snapshot_ = !any_task_unfinished_raw();
 
   // Worker crew: partition i is drained by worker i % nworkers for the
-  // whole run, so a task fiber never migrates between host threads. The
-  // coordinator (this thread) is worker 0; merge, window computation, and
-  // failure handling all happen single-threaded between the barriers.
+  // whole run, so a task fiber never migrates between host threads (rollback
+  // unwinding aside; see task.h). The coordinator (this thread) is worker 0;
+  // merge, window computation, and failure handling all happen
+  // single-threaded between the barriers.
   SpinBarrier start(nworkers);
   SpinBarrier finish(nworkers);
   std::atomic<bool> stop{false};
