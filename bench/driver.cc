@@ -23,10 +23,9 @@ namespace {
 std::vector<std::string> run_flags(std::vector<std::string> extra = {}) {
   std::vector<std::string> f = {
       "scale",       "full",        "nodes",       "block",
-      "app",         "jobs",        "plan-cache",  "plan-cache-misses",
-      "json",        "trace",       "per-loop",    "check-coherence",
-      "faults",      "watchdog-ns", "sim-threads", "collectives",
-      "checkpoint-every"};
+      "app",         "jobs",        "plan-cache",  "json",
+      "trace",       "per-loop",    "faults",      "check-coherence",
+      "watchdog-ns", "sim-threads", "collectives", "checkpoint-every"};
   f.insert(f.end(), extra.begin(), extra.end());
   return f;
 }
@@ -156,8 +155,6 @@ Args parse(int argc, const char* const* argv) {
   exec::RunConfig& r = a.run;
   r.gather_arrays = false;  // programs verify themselves through checksums
   r.opt.plan_cache = o.get_int("plan-cache", 1) != 0;
-  r.opt.plan_cache_misses = static_cast<int>(o.get_int("plan-cache-misses", 8));
-  require(r.opt.plan_cache_misses >= 1, "--plan-cache-misses must be >= 1");
   tempest::ClusterConfig& c = r.cluster;
   c.check_coherence = o.get_bool("check-coherence");
   if (o.has("faults")) {
@@ -207,7 +204,6 @@ exec::ExperimentSpec make_spec(const Args& a, const hpf::Program& prog,
   s.config = a.run;
   s.config.opt = opt;
   s.config.opt.plan_cache = a.run.opt.plan_cache;
-  s.config.opt.plan_cache_misses = a.run.opt.plan_cache_misses;
   s.config.cluster.nnodes = nodes;
   s.config.cluster.dual_cpu = dual_cpu;
   s.config.cluster.block_size = block;
@@ -441,9 +437,27 @@ double calibrate_mops() {
   const double s = seconds_since(t0);
   // Defeats dead-code elimination without affecting the output.
   if (acc == 0x12345678) std::fprintf(stderr, "calib sentinel\n");
-  const double mops = static_cast<double>(kOps) / 1e6 / s;
-  std::printf("calibration: %.0f Mops/s (splitmix64)\n", mops);
-  return mops;
+  return static_cast<double>(kOps) / 1e6 / s;
+}
+
+void Calibration::before(std::size_t i) {
+  // Sample k is due in slot k * (workloads + 1) / kSamples: slot i < n is
+  // before workload i, slot n after the last, so the samples spread evenly
+  // over the sweep.
+  while (samples_.size() < kSamples &&
+         samples_.size() * (workloads_ + 1) / kSamples <= i)
+    samples_.push_back(calibrate_mops());
+}
+
+double Calibration::finish() {
+  before(workloads_);
+  std::vector<double> s = samples_;
+  std::sort(s.begin(), s.end());
+  const double median = s[s.size() / 2];
+  std::printf("calibration: %.0f Mops/s (splitmix64, median of %zu samples, "
+              "range %.0f-%.0f)\n",
+              median, s.size(), s.front(), s.back());
+  return median;
 }
 
 int write_host_json(const std::string& path, const std::string& schema,

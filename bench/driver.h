@@ -8,7 +8,7 @@
 //   --scale=<s> (0.15; 1.0 = Table 2 sizes)  --full  (--scale=1.0)
 //   --nodes=<n> (8, in [1, tempest::kMaxNodes])  --block=<bytes> (128)
 //   --app=<name>  one registry app or spmv   --jobs=<n> (1) host threads
-//   --plan-cache=<0|1> (1)  --plan-cache-misses=<n> (8, >= 1)
+//   --plan-cache=<0|1> (1; 0 re-analyzes every loop visit on every node)
 //   --json=<file>  fgdsm-bench-v1 results    --trace=<file>  first cell
 //   --per-loop  --check-coherence  --faults=<spec> (src/sim/fault.h)
 //   --checkpoint-every=<k> (0)  --sim-threads=<n> (1)
@@ -181,9 +181,27 @@ Measurement measure(const std::string& name,
                     const std::vector<exec::ExperimentSpec>& specs, int reps,
                     exec::RunResult* last = nullptr);
 
-// Mops/s of a fixed splitmix64 loop (printed as the "calibration:" line),
-// which normalizes throughput across hosts.
+// Mops/s of one run of a fixed splitmix64 loop: a host-speed sample.
 double calibrate_mops();
+
+// The host-speed normalizer of a host-side sweep: the median of kSamples
+// calibrate_mops() samples, drawn between the sweep's workloads so that a
+// transient slowdown of the host moves one sample, not the normalizer.
+class Calibration {
+ public:
+  static constexpr std::size_t kSamples = 5;
+
+  explicit Calibration(std::size_t workloads) : workloads_(workloads) {}
+  // Draws the samples due before workload i (0-based, in run order).
+  void before(std::size_t i);
+  // Draws the samples still due, prints the "calibration:" line with the
+  // samples' range, and returns their median.
+  double finish();
+
+ private:
+  std::size_t workloads_;
+  std::vector<double> samples_;
+};
 
 // {"schema","host":{cpu,nproc,calibration_mops},"config":{...},
 //  "workloads":{<name>:{events,seconds,events_per_sec,ns_per_event,

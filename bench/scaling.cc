@@ -79,7 +79,10 @@ int run_scale(const Args& args) {
       "Weak scaling (fixed work per node), collectives=%s, block=%zuB, "
       "best of %d\n",
       collectives, a.block, reps);
-  const double calib = calibrate_mops();
+  std::size_t workloads = 0;
+  for (const char* app : {"jacobi", "spmv"})
+    workloads += a.selected(app) ? node_counts.size() : 0;
+  Calibration calibration(workloads);
 
   struct Point {
     std::string app;
@@ -102,6 +105,7 @@ int run_scale(const Args& args) {
       exec::ExperimentSpec spec = make_spec(
           a, progs.back(), core::shmem_opt_full(), nodes, true, a.block);
       if (points.empty()) spec.config.trace_path = a.trace_path;
+      calibration.before(points.size());
       std::fprintf(stderr, "[%s @%d] n=%lld x %d reps...\n", app, nodes,
                    static_cast<long long>(n), reps);
       Point& p = points.emplace_back();
@@ -112,6 +116,8 @@ int run_scale(const Args& args) {
                     &p.result);
     }
   }
+
+  const double calib = calibration.finish();
 
   util::Table t({"app", "nodes", "n", "sim elapsed", "events", "wall s",
                  "events/s", "allocs/event", "norm (ev/Mop)"});

@@ -72,17 +72,22 @@ int run_selfperf(const Args& a) {
   std::printf("Simulator self-performance (scale=%.2f, %d nodes, %zuB "
               "blocks, best of %d)\n",
               a.scale, a.nodes, a.block, reps);
-  const double calib = calibrate_mops();
+
+  std::vector<Measurement> rows;
+  Calibration calibration(only.empty() ? workloads.size() : 1);
+  for (const auto& [name, specs] : workloads) {
+    if (!only.empty() && only != name) continue;
+    calibration.before(rows.size());
+    std::fprintf(stderr, "[%s] %zu runs x %d reps...\n", name.c_str(),
+                 specs.size(), reps);
+    rows.push_back(measure(name, specs, reps));
+  }
+  const double calib = calibration.finish();
 
   util::Table t({"workload", "events", "seconds", "events/s", "ns/event",
                  "allocs/event", "norm (ev/Mop)"});
-  std::vector<Measurement> rows;
-  for (const auto& [name, specs] : workloads) {
-    if (!only.empty() && only != name) continue;
-    std::fprintf(stderr, "[%s] %zu runs x %d reps...\n", name.c_str(),
-                 specs.size(), reps);
-    const Measurement& m = rows.emplace_back(measure(name, specs, reps));
-    t.add_row({name, util::format_count(m.events),
+  for (const Measurement& m : rows) {
+    t.add_row({m.name, util::format_count(m.events),
                util::Table::cell(m.seconds, 2),
                util::format_count(
                    static_cast<std::uint64_t>(m.events_per_sec())),

@@ -2,7 +2,9 @@
 # Local CI entry point — the same jobs the GitHub Actions workflow runs:
 #   scripts/ci.sh            tier-1 verify: configure, build, ctest, then a
 #                            bench smoke run with --json + --check-coherence
-#                            whose output is schema-validated
+#                            whose output is schema-validated, and the paper
+#                            sweep with --plan-cache=0 and =1, whose stdout
+#                            must be byte-identical
 #   scripts/ci.sh sanitize   ASan+UBSan build + ctest (the batch runner
 #                            introduces host threads; sanitizers gate races
 #                            and UB in the concurrent path)
@@ -70,6 +72,14 @@ case "$job" in
       --check-coherence --json=results/smoke_irreg.json
     python3 scripts/check_results_json.py results/smoke_table3.json \
       results/smoke_irreg.json
+    # The plan cache is host-side memoization: the paper sweep's stdout must
+    # not change when every node re-analyzes every loop visit instead. (The
+    # JSON differs, rightly, in its plan_cache_* counters.)
+    for cache in 0 1; do
+      build/bench/fgdsm-bench paper --scale=0.1 --jobs="$jobs" \
+        --plan-cache="$cache" > "results/paper_plan_cache$cache.log"
+    done
+    cmp results/paper_plan_cache0.log results/paper_plan_cache1.log
     ;;
   sanitize)
     cmake -B build-asan -S . \

@@ -34,21 +34,17 @@ struct Options {
   bool elim_redundant_comm = false;
 
   // Host-side (wall-clock) optimization, no effect on simulated results:
-  // cache each loop's transfer analysis + CommPlan per node and reuse it
-  // while the symbols the loop's structure references keep their values
-  // (core::PlanCache). Models the paper's compiler emitting the schedule
-  // once instead of re-planning every visit. Off exists only for the
-  // equivalence tests and A/B timing. Exception: for loops with indirect
-  // reads the same cache holds the inspector's gather schedule, whose
-  // misses cost *simulated* time (the needs exchange is real
+  // analyze each loop visit's schedule once per cluster (core::PlanStore)
+  // and let every node reuse its own lowered slice while the symbols the
+  // loop's structure references keep their values. Models the paper's
+  // compiler emitting the schedule once instead of re-planning every visit.
+  // Off — every node re-analyzes every visit — is the reference path of the
+  // equivalence tests and the A/B timing. Exception: for loops with
+  // indirect reads the same cache holds the inspector's gather schedule,
+  // whose misses cost *simulated* time (the needs exchange is real
   // communication) — turning the cache off makes such runs slower in
   // virtual time too, though numerically identical.
   bool plan_cache = true;
-
-  // PlanCache give-up threshold: a loop missing this many consecutive
-  // lookups is abandoned (entry freed, key evaluation skipped). Benches
-  // expose it as --plan-cache-misses=N. Must be >= 1.
-  int plan_cache_misses = 8;
 
   std::string label() const;
 };

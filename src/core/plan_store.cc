@@ -1,5 +1,6 @@
 #include "src/core/plan_store.h"
 
+#include <set>
 #include <utility>
 
 #include "src/util/assert.h"
@@ -34,7 +35,58 @@ void lower(const hpf::Transfer& t, const LayoutMap& layouts,
   hpf::linearize_into(lit->second, t.section, out);
   if (block_align) *out = hpf::block_align_inner(*out, block_size);
 }
+
+// Every parallel loop of `phases`, descending into time loops.
+void collect_loops(const std::vector<hpf::Phase>& phases,
+                   std::vector<const hpf::ParallelLoop*>* out) {
+  for (const auto& ph : phases) {
+    if (ph.kind == hpf::Phase::Kind::kParallelLoop)
+      out->push_back(ph.loop.get());
+    else if (ph.kind == hpf::Phase::Kind::kTimeLoop)
+      collect_loops(ph.time->phases, out);
+  }
+}
 }  // namespace
+
+std::vector<std::string> plan_key_symbols(const hpf::ParallelLoop& loop,
+                                          const hpf::Program& prog) {
+  std::set<std::string> loop_vars;
+  loop_vars.insert(loop.dist.sym);
+  for (const auto& fv : loop.free) loop_vars.insert(fv.sym);
+
+  std::set<std::string> syms;
+  auto add_expr = [&](const hpf::AffineExpr& e) {
+    for (const auto& [s, c] : e.terms()) {
+      (void)c;
+      if (!loop_vars.count(s)) syms.insert(s);
+    }
+  };
+  add_expr(loop.dist.lo);
+  add_expr(loop.dist.hi);
+  for (const auto& fv : loop.free) {
+    add_expr(fv.lo);
+    add_expr(fv.hi);
+  }
+  add_expr(loop.home_sub);
+
+  std::set<std::string> arrays;
+  if (!loop.home_array.empty()) arrays.insert(loop.home_array);
+  auto add_ref = [&](const hpf::ArrayRef& r) {
+    arrays.insert(r.array);
+    for (const auto& sub : r.subs) add_expr(sub);
+  };
+  for (const auto& r : loop.reads) add_ref(r);
+  for (const auto& w : loop.writes) add_ref(w);
+  for (const auto& ir : loop.ind_reads) {
+    arrays.insert(ir.array);
+    arrays.insert(ir.index_array);
+    for (const auto& sub : ir.index_subs) add_expr(sub);
+  }
+  for (const auto& name : arrays)
+    for (const auto& e : prog.array(name).extents) add_expr(e);
+
+  return {syms.begin(), syms.end()};
+}
 
 ClusterPlan::ClusterPlan(std::vector<hpf::Transfer> transfers,
                          const LayoutMap& layouts, int np,
@@ -99,6 +151,24 @@ CommPlan ClusterPlan::slice(int me, const LayoutMap& layouts) const {
   plan.recv = normalize_runs(std::move(recv_runs));
   plan.mk_writable = normalize_runs(std::move(mk_runs));
   return plan;
+}
+
+PlanStore::PlanStore(const hpf::Program& prog) {
+  std::vector<const hpf::ParallelLoop*> loops;
+  collect_loops(prog.phases, &loops);
+  for (const hpf::ParallelLoop* loop : loops)
+    key_symbols_.emplace(loop, plan_key_symbols(*loop, prog));
+}
+
+void PlanStore::key_into(const hpf::ParallelLoop& loop,
+                         const hpf::Bindings& b, const Key& extra,
+                         Key* out) const {
+  const auto it = key_symbols_.find(&loop);
+  FGDSM_ASSERT_MSG(it != key_symbols_.end(),
+                   "loop " << loop.name << " is not in the store's program");
+  out->clear();
+  for (const auto& sym : it->second) out->push_back(b.get(sym));
+  out->insert(out->end(), extra.begin(), extra.end());
 }
 
 std::shared_ptr<const ClusterPlan> PlanStore::acquire(

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "src/core/plan.h"
-#include "src/core/plan_cache.h"
 #include "src/core/plan_store.h"
 #include "src/hpf/analysis.h"
 #include "src/irreg/inspector.h"
@@ -44,8 +43,8 @@ bool transfers_eq(const std::vector<hpf::Transfer>& a,
   return true;
 }
 
-// A loop's global transfer set, shared with the run's PlanStore entry (or
-// owned alone on the re-analyze path) instead of copied per node.
+// A loop's global transfer set, shared with the plan it belongs to instead
+// of copied per node.
 using TransferSet = std::shared_ptr<const std::vector<hpf::Transfer>>;
 
 // Per-node execution state.
@@ -69,11 +68,14 @@ struct NodeRun {
   };
   std::map<const hpf::ParallelLoop*, AvailEntry> avail;
 
-  // This node's view of the run's plan store (core::PlanCache): iterative
+  // This node's plan record per loop (see Executor::plan_record): iterative
   // apps re-run the same loops every timestep with unchanged structural
   // symbols, so a loop visit hits the node's own lowered plan; misses fetch
   // the cluster's shared schedule and lower only this node's slice.
-  core::PlanCache plan_cache;
+  std::map<const hpf::ParallelLoop*, core::PlanRecord> plans;
+  core::PlanStore::Key probe;  // the current visit's key (reused)
+  std::uint64_t plan_hits = 0;
+  std::uint64_t plan_misses = 0;
 
   // The plan for the loop currently executing. This lives here — not as an
   // exec_loop_inner stack local — because checkpoint capture copies raw
@@ -103,7 +105,7 @@ struct NodeRun {
 // availability) — restored by value so the deterministic replay makes
 // exactly the decisions the checkpointed timeline would have, keeping the
 // collective any_comm/any_flush choices aligned with the rolled-back tags.
-// The plan caches and the run's plan store are deliberately NOT touched at
+// The plan records and the run's plan store are deliberately NOT touched at
 // restore: they are pure memoization of a deterministic analysis (either
 // path yields byte-identical plans), so entries from the abandoned timeline
 // stay valid.
@@ -152,7 +154,9 @@ class ExecCtx final : public hpf::BodyCtx {
 class Executor {
  public:
   Executor(const hpf::Program& prog, RunConfig cfg)
-      : prog_(prog), cfg_(std::move(cfg)), cluster_([&] {
+      : prog_(prog),
+        cfg_(std::move(cfg)),
+        cluster_([&] {
           tempest::ClusterConfig c = cfg_.cluster;
           if (cfg_.opt.mode == Mode::kSerial) c.nnodes = 1;
           if (!cfg_.trace_path.empty()) {
@@ -160,7 +164,8 @@ class Executor {
             c.tracer = tracer_.get();
           }
           return c;
-        }()) {
+        }()),
+        plan_store_(prog) {
     FGDSM_ASSERT_MSG(!cfg_.opt.elim_redundant_comm ||
                          cfg_.opt.rt_overhead_elim,
                      "redundant-communication elimination requires the "
@@ -280,12 +285,11 @@ class Executor {
     st.task = &t;
     st.bind = bind0();
     st.bind.set(hpf::kSymProc, n.id());
-    st.plan_cache.set_give_up_after(cfg_.opt.plan_cache_misses);
     exec_phases(prog_.phases, st);
     n.barrier(t);
     st.snap = n.stats;
-    st.snap.plan_cache_hits = st.plan_cache.hits();
-    st.snap.plan_cache_misses = st.plan_cache.misses();
+    st.snap.plan_cache_hits = st.plan_hits;
+    st.snap.plan_cache_misses = st.plan_misses;
     st.snap_time = t.now();
     if (cfg_.gather_arrays && shmem()) gather_owned(st);
   }
@@ -413,51 +417,58 @@ class Executor {
     for (const auto& w : loop.writes) ++st.write_version[w.array];
   }
 
-  // The plan for this visit of `loop`. With the cache enabled, the node's
-  // view decides hit or miss; a miss fetches the run's shared ClusterPlan
-  // for the visit's key (analyzed once per cluster) and lowers only this
-  // node's slice. Availability filtering (elim_redundant_comm) is
-  // re-applied on every visit on top of the shared transfer set, since it
-  // depends on the live write versions. Every path yields byte-identical
-  // plans: the analysis is a pure function of the key symbols, and the
-  // filter elides all-or-nothing (an elided visit's plan is exactly
-  // plan_from_transfers({}) == CommPlan{}).
+  // Node st's plan record for this visit of `loop`. The visit's key is the
+  // loop's key symbols under st.bind, then `extra`; it hits when it equals
+  // the node's previous key for the loop. On a miss `inspect()` runs on this
+  // node (it may communicate and charge virtual time), then the run's store
+  // runs the pure `compute()` once per key and the node moves its own slice
+  // into the record. With --plan-cache=0 every visit misses, uncounted, and
+  // the node computes its plan alone: the reference path.
+  template <typename Inspect, typename Compute>
+  const core::PlanRecord& plan_record(const hpf::ParallelLoop& loop,
+                                      NodeRun& st,
+                                      const core::PlanStore::Key& extra,
+                                      Inspect&& inspect, Compute&& compute) {
+    core::PlanRecord& rec = st.plans[&loop];
+    const bool cached = cfg_.opt.plan_cache;
+    if (cached) {
+      plan_store_.key_into(loop, st.bind, extra, &st.probe);
+      if (rec.hit(st.probe)) {
+        ++st.plan_hits;
+        return rec;
+      }
+      ++st.plan_misses;
+    }
+    inspect();
+    rec.shared = cached ? plan_store_.acquire(loop, st.probe, compute)
+                        : std::make_shared<const core::ClusterPlan>(compute());
+    rec.key.swap(st.probe);
+    rec.plan = rec.shared->slice(st.node->id(), layouts_);
+    return rec;
+  }
+
+  bool block_aligned() const { return cfg_.opt.mode == Mode::kShmemOpt; }
+
+  // The plan for this visit of `loop`: the analysis is a pure function of
+  // the visit's key, so every node shares one analyzed ClusterPlan per key.
+  // Availability filtering (elim_redundant_comm) is re-applied on every
+  // visit on top of the shared transfer set, since it depends on the live
+  // write versions; it elides all-or-nothing (an elided visit's plan is
+  // exactly CommPlan{}).
   CommPlan plan_for_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
     const int np = cluster_.nnodes();
-    const std::size_t bs = cluster_.block_size();
-    const bool align = cfg_.opt.mode == Mode::kShmemOpt;
-    const int me = st.node->id();
-
-    if (!cfg_.opt.plan_cache) {
-      const auto transfers = std::make_shared<const std::vector<hpf::Transfer>>(
-          hpf::analyze_transfers(loop, prog_, st.bind, np));
-      if (cfg_.opt.elim_redundant_comm && still_available(loop, st, transfers))
-        return CommPlan{};
-      return core::plan_from_transfers(*transfers, layouts_, me, bs, align);
-    }
-
-    const core::PlanCache::Entry* e =
-        st.plan_cache.lookup(loop, prog_, st.bind);
-    std::shared_ptr<const core::ClusterPlan> shared;
-    CommPlan plan;
-    if (e != nullptr) {
-      shared = e->shared;
-    } else {
-      shared = plan_store_.acquire(loop, st.plan_cache.last_key(), [&] {
-        return core::ClusterPlan(
-            hpf::analyze_transfers(loop, prog_, st.bind, np), layouts_, np,
-            bs, align);
-      });
-      plan = shared->slice(me, layouts_);
-      if (st.plan_cache.should_store(loop))
-        e = &st.plan_cache.insert(loop, prog_, st.bind, shared, plan);
-    }
-    const std::vector<hpf::Transfer>& transfers = shared->transfers();
+    const core::PlanRecord& rec = plan_record(
+        loop, st, {}, [] {},
+        [&] {
+          return core::ClusterPlan(
+              hpf::analyze_transfers(loop, prog_, st.bind, np), layouts_, np,
+              cluster_.block_size(), block_aligned());
+        });
     if (cfg_.opt.elim_redundant_comm &&
-        still_available(loop, st, TransferSet(shared, &transfers)) &&
-        !transfers.empty())
+        still_available(loop, st,
+                        TransferSet(rec.shared, &rec.shared->transfers())))
       return CommPlan{};
-    return e != nullptr ? e->plan : plan;
+    return rec.plan;
   }
 
   // The plan for a loop with indirect reads. The affine analysis still
@@ -466,11 +477,11 @@ class Executor {
   // scan the local index slice, exchange need lists, fold the global set
   // into transfers, and lower the union.
   //
-  // The schedule is cached keyed on the indirection arrays' write versions
+  // The schedule is keyed on the indirection arrays' write versions too
   // (bumped identically on every node by bump_versions), so iterative apps
   // inspect once and replay — the CHAOS/PARTI amortization. Hits and misses
-  // are symmetric cluster-wide (same versions, same symbols, same give-up
-  // threshold), which keeps the collective exchange() calls aligned.
+  // are symmetric cluster-wide (same versions, same symbols), which keeps
+  // the collective exchange() calls aligned.
   //
   // Every node still scans and exchanges on a miss (that traffic is
   // simulated), but the fold and affine analysis are host work shared
@@ -484,64 +495,52 @@ class Executor {
   // inspector to produce the set it compares, defeating the elision.
   CommPlan plan_for_irreg_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
     const int np = cluster_.nnodes();
-    const std::size_t bs = cluster_.block_size();
-    const bool align = cfg_.opt.mode == Mode::kShmemOpt;
-    const int me = st.node->id();
     Node& n = *st.node;
     sim::Task& t = *st.task;
 
-    std::vector<std::int64_t> extra;
+    core::PlanStore::Key extra;
     {
       std::set<std::string> idx;
       for (const auto& ir : loop.ind_reads) idx.insert(ir.index_array);
       for (const auto& name : idx) extra.push_back(st.write_version[name]);
     }
 
-    if (cfg_.opt.plan_cache) {
-      const core::PlanCache::Entry* e =
-          st.plan_cache.lookup(loop, prog_, st.bind, extra);
-      if (e != nullptr) {
-        ++n.stats.sched_cache_hits;
-        return e->plan;
-      }
-      ++n.stats.sched_cache_misses;
+    bool inspected = false;
+    sim::Time t0 = 0;
+    std::vector<std::vector<irreg::Need>> all;
+    const core::PlanRecord& rec = plan_record(
+        loop, st, extra,
+        [&] {
+          inspected = true;
+          if (cfg_.opt.plan_cache) ++n.stats.sched_cache_misses;
+          ++n.stats.irreg_inspections;
+          t0 = t.now();
+          irreg::ScanResult sr =
+              irreg::scan(loop, prog_, st.bind, layouts_, np, n, t,
+                          /*ensure_index=*/shmem(), &st.irreg_scratch);
+          all = irreg_->exchange(n, t, std::move(sr.needs));
+        },
+        [&] {
+          auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
+          auto gathers =
+              irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
+          transfers.insert(transfers.end(),
+                           std::make_move_iterator(gathers.begin()),
+                           std::make_move_iterator(gathers.end()));
+          return core::ClusterPlan(std::move(transfers), layouts_, np,
+                                   cluster_.block_size(), block_aligned(),
+                                   irreg::needs_digest(all));
+        });
+    if (!inspected) {
+      ++n.stats.sched_cache_hits;
+      return rec.plan;
     }
-
-    ++n.stats.irreg_inspections;
-    const sim::Time t0 = t.now();
-    irreg::ScanResult sr =
-        irreg::scan(loop, prog_, st.bind, layouts_, np, n, t,
-                    /*ensure_index=*/shmem(), &st.irreg_scratch);
-    const std::vector<std::vector<irreg::Need>> all =
-        irreg_->exchange(n, t, std::move(sr.needs));
-    const auto fold = [&] {
-      auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-      auto gathers = irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
-      transfers.insert(transfers.end(),
-                       std::make_move_iterator(gathers.begin()),
-                       std::make_move_iterator(gathers.end()));
-      return transfers;
-    };
-    std::shared_ptr<const core::ClusterPlan> shared;
-    CommPlan plan;
-    if (cfg_.opt.plan_cache) {
-      shared = plan_store_.acquire(loop, st.plan_cache.last_key(), [&] {
-        return core::ClusterPlan(fold(), layouts_, np, bs, align,
-                                 irreg::needs_digest(all));
-      });
-      FGDSM_DCHECK(shared->needs_digest() == irreg::needs_digest(all));
-      plan = shared->slice(me, layouts_);
-    } else {
-      plan = core::plan_from_transfers(fold(), layouts_, me, bs, align);
-    }
+    FGDSM_DCHECK(rec.shared->needs_digest() == irreg::needs_digest(all));
     n.stats.ccc_ns += t.now() - t0;
     if (auto* tr = cluster_.tracer())
-      tr->span(sim::Tracer::compute_track(me), "inspect",
+      tr->span(sim::Tracer::compute_track(n.id()), "inspect",
                tr->intern(loop.name), t0, t.now());
-    if (cfg_.opt.plan_cache && st.plan_cache.should_store(loop))
-      st.plan_cache.insert(loop, prog_, st.bind, std::move(shared), plan,
-                           extra);
-    return plan;
+    return rec.plan;
   }
 
   // Availability (PRE-style, §4.3's second problem): true if this loop's
@@ -885,7 +884,7 @@ class Executor {
   std::unique_ptr<irreg::IrregRuntime> irreg_;
   core::LayoutMap layouts_;
   // The run's one communication plan per (loop, key), shared by every node's
-  // plan_cache view (one store per run: BatchRunner runs never share it).
+  // plan records (one store per run: BatchRunner runs never share it).
   core::PlanStore plan_store_;
   Bindings base_bind_;
   std::vector<NodeRun> nodes_;

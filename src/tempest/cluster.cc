@@ -580,11 +580,10 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
                                         c.tags.size() * sizeof(Access)) +
               sim::CostModel::kCkptTaskContextBytes +
               (c.task.entered() ? sim::CostModel::kCkptTaskStackBytes : 0);
-    n.stats.checkpoints += 1;
-    n.stats.checkpoint_bytes += static_cast<std::uint64_t>(c.bytes);
-    // The serialization charge lands when this node's release arrives —
-    // the first point its task runs after the capture. (The initial t=0
-    // capture is free: it models the job's pristine on-disk image.)
+    // The serialization charge — and the checkpoint counters with it —
+    // lands when this node's release arrives: the first point its task runs
+    // after the capture. (The initial t=0 capture is free and uncounted: it
+    // models the job's pristine on-disk image.)
     if (at_barrier) n.set_pending_checkpoint(c.bytes);
   }
   ckpt_.valid = true;

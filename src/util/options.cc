@@ -74,10 +74,17 @@ std::string Options::closest_match(const std::string& name,
     }
   }
   // Suggest only plausible typos: at most 3 edits and fewer than half the
-  // flag rewritten.
-  if (best_d > 3 || 2 * best_d >= std::max<std::size_t>(name.size(), 1))
-    return "";
-  return best;
+  // flag rewritten...
+  if (best_d <= 3 && 2 * best_d < std::max<std::size_t>(name.size(), 1))
+    return best;
+  // ...or the longest declared name the flag extends by a '-' suffix: a
+  // removed or misremembered variant of it (--json-file for --json).
+  std::string stem;
+  for (const std::string& k : known)
+    if (k.size() > stem.size() && name.size() > k.size() &&
+        name.compare(0, k.size(), k) == 0 && name[k.size()] == '-')
+      stem = k;
+  return stem;
 }
 
 void Options::check_known(const std::vector<std::string>& known) const {

@@ -30,8 +30,9 @@ class Options {
   // "did you mean --X?" suggestion when a declared flag is close).
   void check_known(const std::vector<std::string>& known) const;
 
-  // Nearest declared name by edit distance (empty if nothing is close
-  // enough to be a plausible typo). Exposed for tests.
+  // Nearest declared name by edit distance, else the longest declared name
+  // `name` extends by a '-' suffix (empty if nothing is close enough to be
+  // a plausible typo). Exposed for tests.
   static std::string closest_match(const std::string& name,
                                    const std::vector<std::string>& known);
 

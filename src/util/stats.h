@@ -26,8 +26,9 @@ struct NodeStats {
   std::uint64_t ccc_runtime_calls = 0;     // mk_writable/implicit_*/limits
   std::uint64_t ccc_calls_elided = 0;      // removed by run-time overhead elim
 
-  // Host-side planner cache (core::PlanCache): loop visits served from the
-  // cached schedule vs. visits that re-ran section analysis + planning.
+  // Host-side plan cache (core::PlanStore and each node's plan records):
+  // loop visits served from the node's last plan vs. visits that fetched
+  // or re-ran section analysis + planning.
   // These measure wall-clock work saved, not simulated behavior — cached
   // and fresh plans are identical by construction.
   std::uint64_t plan_cache_hits = 0;
@@ -62,7 +63,9 @@ struct NodeStats {
   // crash=/crashp= with --checkpoint-every=K). All zero in fault-free runs.
   // crashes land on the node that died; recoveries/checkpoints are counted
   // on every participating node (a rollback is cluster-wide);
-  // checkpoint_bytes is the serialized state this node contributed;
+  // checkpoints/checkpoint_bytes are the checkpoints this node paid for
+  // (one per K-th barrier; the free t=0 image is not one) and the
+  // serialized state it was charged for;
   // rollback_ns is virtual time lost to rollback (resume point minus the
   // restored checkpoint's capture time), summed over recoveries.
   std::uint64_t crashes = 0;

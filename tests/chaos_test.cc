@@ -186,6 +186,10 @@ TEST(OptionsStrict, ClosestMatchSuggestsPlausibleTyposOnly) {
   EXPECT_EQ(util::Options::closest_match("check-coherance", known),
             "check-coherence");
   EXPECT_EQ(util::Options::closest_match("zzzzzz", known), "");
+  EXPECT_EQ(util::Options::closest_match("check-coherence-level", known),
+            "check-coherence");
+  EXPECT_EQ(util::Options::closest_match("nodesx", known), "nodes");
+  EXPECT_EQ(util::Options::closest_match("traces-out", known), "");
 }
 
 TEST(OptionsStrictDeathTest, UnknownFlagExits2NamingFlagAndSuggestion) {
@@ -225,6 +229,11 @@ TEST(OptionsStrict, KnownAppsPass) {
 TEST(OptionsStrictDeathTest, FlagTypoExits2WithSuggestion) {
   EXPECT_EXIT(parse({"paper", "--tarce=x.json"}), ::testing::ExitedWithCode(2),
               "unknown option --tarce \\(did you mean --trace\\?\\)");
+  // A removed variant of a flag is rejected, not silently accepted.
+  EXPECT_EXIT(parse({"paper", "--plan-cache-misses=8"}),
+              ::testing::ExitedWithCode(2),
+              "unknown option --plan-cache-misses \\(did you mean "
+              "--plan-cache\\?\\)");
 }
 
 TEST(OptionsStrictDeathTest, BadFaultSpecExits2) {

@@ -17,6 +17,10 @@
 //     latency to a computable constant.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,7 @@
 #include "src/sim/fault.h"
 #include "src/sim/network.h"
 #include "src/sim/task.h"
+#include "src/sim/trace.h"
 
 namespace fgdsm {
 namespace {
@@ -174,6 +179,58 @@ TEST(CrashRecovery, CheckpointingWithoutCrashesIsResultPassive) {
   // The premium is real but bounded: checkpoint bytes are charged to the
   // cost model, so elapsed grows, monotonically with frequency.
   EXPECT_GE(ck.stats.elapsed_ns, base.stats.elapsed_ns);
+}
+
+// Each node counts the checkpoints it paid for, once: one per K-th barrier
+// (the t=0 image is free), and checkpoint_bytes is the sum of the sizes its
+// serialization charges were priced at — read back from the trace's
+// checkpoint spans, each ckpt_base_ns + bytes * ckpt_ns_per_byte long.
+TEST(CrashRecovery, CheckpointCountersMatchTheCharges) {
+  constexpr int kNodes = 4;
+  constexpr int kEvery = 3;
+  const auto prog = apps::jacobi(96, 6);
+  exec::RunConfig cfg = crash_cfg("", kNodes, kEvery);
+  cfg.cluster.costs.ckpt_ns_per_byte = 1.0;  // span length - base = bytes
+  const std::string path = ::testing::TempDir() + "fgdsm_ckpt_trace.json";
+  cfg.trace_path = path;
+  const exec::RunResult r = exec::run(prog, cfg);
+
+  std::ifstream f(path);
+  ASSERT_TRUE(f.good()) << path;
+  std::stringstream ss;
+  ss << f.rdbuf();
+  const std::string text = ss.str();
+  std::remove(path.c_str());
+
+  // Each span is {"ph", "pid", "tid": T, "cat": "ckpt", "name":
+  // "checkpoint", "ts", "dur": D}, D in microseconds with three decimals.
+  std::vector<std::uint64_t> spans(kNodes, 0), charged(kNodes, 0);
+  const std::string name = "\"name\": \"checkpoint\"";
+  for (std::size_t at = text.find(name); at != std::string::npos;
+       at = text.find(name, at + 1)) {
+    const std::size_t tid_at = text.rfind("\"tid\": ", at);
+    const std::size_t dur_at = text.find("\"dur\": ", at);
+    ASSERT_NE(tid_at, std::string::npos);
+    ASSERT_NE(dur_at, std::string::npos);
+    const int tid = std::stoi(text.substr(tid_at + 7));
+    const int node = tid / 2;
+    ASSERT_EQ(sim::Tracer::compute_track(node), tid);
+    ASSERT_LT(node, kNodes);
+    const std::size_t dot = text.find('.', dur_at);
+    const std::int64_t dur_ns =
+        std::stoll(text.substr(dur_at + 7, dot - dur_at - 7)) * 1000 +
+        std::stoll(text.substr(dot + 1, 3));
+    ++spans[static_cast<std::size_t>(node)];
+    charged[static_cast<std::size_t>(node)] +=
+        static_cast<std::uint64_t>(dur_ns - cfg.cluster.costs.ckpt_base_ns);
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const util::NodeStats& ns = r.stats.node[i];
+    EXPECT_GT(ns.checkpoints, 0u) << i;
+    EXPECT_EQ(ns.checkpoints, ns.barriers / kEvery) << i;
+    EXPECT_EQ(ns.checkpoints, spans[i]) << i;
+    EXPECT_EQ(ns.checkpoint_bytes, charged[i]) << i;
+  }
 }
 
 // cg stresses the state the tag-based capture predicate cannot see: its

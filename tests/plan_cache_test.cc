@@ -1,18 +1,21 @@
-// Equivalence of the per-node communication-plan view (core::PlanCache)
-// with fresh analysis: a cached CommPlan must equal a freshly built one in
-// every schedule, count, and flag; the cache key must miss exactly when a
-// referenced symbol changes; and the executor must produce bit-identical
-// runs with the cache on or off while counting hits in util::RunStats.
+// The run's plan cache as one node sees it — the store's visit keys
+// (core::PlanStore::key_into) and the node's per-loop records
+// (core::PlanRecord) — against fresh analysis: a cached CommPlan must equal
+// a freshly built one in every schedule, count, and flag; the key must miss
+// exactly when a referenced symbol changes; and the executor must produce
+// bit-identical runs with the cache on or off while counting hits in
+// util::RunStats.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/apps/apps.h"
 #include "src/core/plan.h"
-#include "src/core/plan_cache.h"
 #include "src/core/plan_store.h"
 #include "src/exec/executor.h"
 #include "src/hpf/analysis.h"
@@ -60,8 +63,8 @@ LayoutMap make_layouts(const hpf::Program& prog, const hpf::Bindings& b,
   return m;
 }
 
-// The shared cluster-level entry a view references (the executor gets it
-// from its run's PlanStore; these tests build it directly).
+// The shared cluster-level entry a record holds (the executor gets it from
+// its run's PlanStore; these tests build it directly).
 std::shared_ptr<const ClusterPlan> share(std::vector<hpf::Transfer> transfers,
                                          const LayoutMap& layouts, int np,
                                          bool align = true) {
@@ -76,6 +79,49 @@ hpf::Bindings base_bindings(const hpf::Program& prog, int np) {
   return b;
 }
 
+// One node's plan records, looked up and filled as the executor does: the
+// visit's key from the store, a hit exactly when the loop's record holds
+// that key.
+class NodePlans {
+ public:
+  explicit NodePlans(const hpf::Program& prog) : store_(prog) {}
+
+  // The record of `loop` if this visit's key repeats the last stored one;
+  // nullptr on a miss (including the first visit).
+  const PlanRecord* lookup(const hpf::ParallelLoop& loop,
+                           const hpf::Bindings& b,
+                           const PlanStore::Key& extra = {}) {
+    store_.key_into(loop, b, extra, &probe_);
+    const PlanRecord& rec = records_[&loop];
+    if (rec.hit(probe_)) {
+      ++hits_;
+      return &rec;
+    }
+    ++misses_;
+    return nullptr;
+  }
+
+  // Replaces the record of `loop` with the visit keyed by `b` and `extra`.
+  void insert(const hpf::ParallelLoop& loop, const hpf::Bindings& b,
+              std::shared_ptr<const ClusterPlan> shared, CommPlan plan,
+              const PlanStore::Key& extra = {}) {
+    PlanRecord& rec = records_[&loop];
+    store_.key_into(loop, b, extra, &rec.key);
+    rec.shared = std::move(shared);
+    rec.plan = std::move(plan);
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  PlanStore store_;
+  std::map<const hpf::ParallelLoop*, PlanRecord> records_;
+  PlanStore::Key probe_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
 TEST(PlanCache, CachedPlanEqualsFreshBuild) {
   constexpr int kNp = 4;
   constexpr std::size_t kBlock = 128;
@@ -89,15 +135,15 @@ TEST(PlanCache, CachedPlanEqualsFreshBuild) {
 
     for (bool align : {true, false}) {
       for (int me = 0; me < kNp; ++me) {
-        PlanCache cache;
+        NodePlans cache(prog);
         for (const hpf::ParallelLoop* loop : loops) {
           // First visit must miss; populate exactly as the executor does.
-          ASSERT_EQ(cache.lookup(*loop, prog, b), nullptr)
+          ASSERT_EQ(cache.lookup(*loop, b), nullptr)
               << prog.name << "/" << loop->name;
           auto transfers = hpf::analyze_transfers(*loop, prog, b, kNp);
           CommPlan fresh =
               plan_from_transfers(transfers, layouts, me, kBlock, align);
-          cache.insert(*loop, prog, b,
+          cache.insert(*loop, b,
                        std::make_shared<const ClusterPlan>(
                            transfers, layouts, kNp, kBlock, align),
                        fresh);
@@ -105,7 +151,7 @@ TEST(PlanCache, CachedPlanEqualsFreshBuild) {
           // Second visit: hit, and the cached plan is structurally equal to
           // a from-scratch build_comm_plan (schedules, counts, flags — the
           // full CommPlan operator==).
-          const PlanCache::Entry* e = cache.lookup(*loop, prog, b);
+          const PlanRecord* e = cache.lookup(*loop, b);
           ASSERT_NE(e, nullptr) << prog.name << "/" << loop->name;
           EXPECT_EQ(e->plan, fresh) << prog.name << "/" << loop->name;
           EXPECT_EQ(e->plan, build_comm_plan(*loop, prog, b, layouts, kNp, me,
@@ -134,67 +180,32 @@ TEST(PlanCache, KeySymbolChangeMissesUnrelatedChangeHits) {
   const std::string& key_sym = keys.front();
 
   const LayoutMap layouts = make_layouts(prog, b, 128);
-  PlanCache cache;
+  NodePlans cache(prog);
   auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
   CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-  cache.insert(loop, prog, b, share(transfers, layouts, kNp), plan);
-  ASSERT_NE(cache.lookup(loop, prog, b), nullptr);
+  cache.insert(loop, b, share(transfers, layouts, kNp), plan);
+  ASSERT_NE(cache.lookup(loop, b), nullptr);
 
   // Changing a symbol the loop never references must not invalidate.
   hpf::Bindings unrelated = b;
   unrelated.set("$some_unreferenced_symbol", 42);
-  EXPECT_NE(cache.lookup(loop, prog, unrelated), nullptr);
+  EXPECT_NE(cache.lookup(loop, unrelated), nullptr);
 
   // Changing a referenced symbol must miss...
   hpf::Bindings changed = b;
   changed.set(key_sym, b.get(key_sym) + 8);
-  EXPECT_EQ(cache.lookup(loop, prog, changed), nullptr);
+  EXPECT_EQ(cache.lookup(loop, changed), nullptr);
 
   // ...and re-inserting under the new key serves the new value, not stale.
   auto transfers2 = hpf::analyze_transfers(loop, prog, changed, kNp);
   const LayoutMap layouts2 = make_layouts(prog, changed, 128);
   CommPlan plan2 = plan_from_transfers(transfers2, layouts2, 0, 128, true);
-  cache.insert(loop, prog, changed, share(transfers2, layouts2, kNp), plan2);
-  const PlanCache::Entry* e = cache.lookup(loop, prog, changed);
+  cache.insert(loop, changed, share(transfers2, layouts2, kNp), plan2);
+  const PlanRecord* e = cache.lookup(loop, changed);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->plan, plan2);
   // The old key is gone (single-entry per loop): original bindings miss now.
-  EXPECT_EQ(cache.lookup(loop, prog, b), nullptr);
-}
-
-TEST(PlanCache, GivesUpOnLoopsThatNeverHit) {
-  // LU-style loops key on the time counter and miss every visit; after
-  // kGiveUpAfter consecutive misses the cache abandons the loop (frees the
-  // entry, stops storing) but keeps counting misses.
-  constexpr int kNp = 4;
-  const hpf::Program prog = apps::jacobi(96, 4);
-  hpf::Bindings b = base_bindings(prog, kNp);
-  std::vector<const hpf::ParallelLoop*> loops;
-  collect_loops(prog.phases, loops, b);
-  const hpf::ParallelLoop& loop = *loops.front();
-  const std::string key_sym = plan_key_symbols(loop, prog).front();
-  const LayoutMap layouts = make_layouts(prog, b, 128);
-
-  PlanCache cache;
-  hpf::Bindings cur = b;
-  for (int visit = 0; visit < PlanCache::kGiveUpAfter; ++visit) {
-    cur.set(key_sym, b.get(key_sym) + visit);  // new key: always a miss
-    ASSERT_EQ(cache.lookup(loop, prog, cur), nullptr);
-    if (cache.should_store(loop)) {
-      auto transfers = hpf::analyze_transfers(loop, prog, cur, kNp);
-      CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-      cache.insert(loop, prog, cur, share(std::move(transfers), layouts, kNp),
-                   std::move(plan));
-    }
-  }
-  EXPECT_FALSE(cache.should_store(loop));
-  // Even a key that was stored earlier no longer hits: the slot is dead.
-  EXPECT_EQ(cache.lookup(loop, prog, cur), nullptr);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(),
-            static_cast<std::uint64_t>(PlanCache::kGiveUpAfter) + 1);
-  // Other loops are unaffected.
-  EXPECT_TRUE(cache.should_store(*loops.back()));
+  EXPECT_EQ(cache.lookup(loop, b), nullptr);
 }
 
 // The caller-supplied extra key (the inspector's index-array write
@@ -210,73 +221,22 @@ TEST(PlanCache, ExtraKeyParticipatesInKey) {
   const hpf::ParallelLoop& loop = *loops.front();
   const LayoutMap layouts = make_layouts(prog, b, 128);
 
-  PlanCache cache;
+  NodePlans cache(prog);
   auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
   CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-  cache.insert(loop, prog, b, share(transfers, layouts, kNp), plan,
-               /*extra_key=*/{7});
+  cache.insert(loop, b, share(transfers, layouts, kNp), plan,
+               /*extra=*/{7});
 
-  const PlanCache::Entry* e = cache.lookup(loop, prog, b, {7});
+  const PlanRecord* e = cache.lookup(loop, b, {7});
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->plan, plan);
-  EXPECT_EQ(cache.lookup(loop, prog, b, {8}), nullptr);   // version bumped
-  EXPECT_EQ(cache.lookup(loop, prog, b, {}), nullptr);    // no extra at all
-  EXPECT_EQ(cache.lookup(loop, prog, b, {7, 7}), nullptr);  // extra length
+  EXPECT_EQ(cache.lookup(loop, b, {8}), nullptr);   // version bumped
+  EXPECT_EQ(cache.lookup(loop, b, {}), nullptr);    // no extra at all
+  EXPECT_EQ(cache.lookup(loop, b, {7, 7}), nullptr);  // extra length
   // The stored entry is intact after all those misses.
-  ASSERT_NE(cache.lookup(loop, prog, b, {7}), nullptr);
+  ASSERT_NE(cache.lookup(loop, b, {7}), nullptr);
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 3u);
-}
-
-// The abandonment threshold is configurable (--plan-cache-misses=N): with
-// give_up_after(2), two consecutive misses kill the slot; non-positive
-// values clamp to 1.
-TEST(PlanCache, GiveUpThresholdIsConfigurable) {
-  constexpr int kNp = 4;
-  const hpf::Program prog = apps::jacobi(96, 4);
-  hpf::Bindings b = base_bindings(prog, kNp);
-  std::vector<const hpf::ParallelLoop*> loops;
-  collect_loops(prog.phases, loops, b);
-  const hpf::ParallelLoop& loop = *loops.front();
-  const LayoutMap layouts = make_layouts(prog, b, 128);
-  auto transfers = hpf::analyze_transfers(loop, prog, b, kNp);
-  const CommPlan plan = plan_from_transfers(transfers, layouts, 0, 128, true);
-  const auto shared = share(transfers, layouts, kNp);
-
-  {
-    PlanCache cache;
-    cache.set_give_up_after(2);
-    EXPECT_EQ(cache.give_up_after(), 2);
-    // Drive misses by bumping the extra key each visit (the inspector's
-    // index-array version changing every timestep).
-    for (std::int64_t v = 0; v < 2; ++v) {
-      ASSERT_EQ(cache.lookup(loop, prog, b, {v}), nullptr);
-      if (cache.should_store(loop))
-        cache.insert(loop, prog, b, shared, plan, {v});
-    }
-    EXPECT_FALSE(cache.should_store(loop));
-    // The slot is dead: even the most recently stored key misses.
-    EXPECT_EQ(cache.lookup(loop, prog, b, {1}), nullptr);
-    EXPECT_EQ(cache.hits(), 0u);
-    // A hit before the streak completes resets it — fresh cache, default
-    // kGiveUpAfter would be 8, but 2 still allows hit-miss-hit patterns.
-    PlanCache c2;
-    c2.set_give_up_after(2);
-    c2.insert(loop, prog, b, shared, plan, {0});
-    ASSERT_EQ(c2.lookup(loop, prog, b, {1}), nullptr);  // one miss
-    ASSERT_NE(c2.lookup(loop, prog, b, {0}), nullptr);  // hit resets streak
-    ASSERT_EQ(c2.lookup(loop, prog, b, {1}), nullptr);  // one miss again
-    EXPECT_TRUE(c2.should_store(loop));                 // still alive
-  }
-  {
-    PlanCache cache;
-    cache.set_give_up_after(0);
-    EXPECT_EQ(cache.give_up_after(), 1);  // clamps: 0 would never store
-    cache.set_give_up_after(-3);
-    EXPECT_EQ(cache.give_up_after(), 1);
-    ASSERT_EQ(cache.lookup(loop, prog, b, {0}), nullptr);
-    EXPECT_FALSE(cache.should_store(loop));  // one miss is the limit
-  }
 }
 
 // Executor integration: with the cache enabled, iterative apps serve loop
