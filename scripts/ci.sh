@@ -45,8 +45,10 @@
 #                            partition/merge tests, the plan-store hammer
 #                            tests and the fault-injector shard test run
 #                            with real threads, plus the fiber tests (Task.*,
-#                            a 4-thread chaos run, a crash recovery) — the
-#                            fiber switch announces itself to TSan
+#                            a 4-thread chaos run, a crash recovery, 64-node
+#                            runs on 4 workers under flat, binomial and
+#                            two-level collectives) — the fiber switch
+#                            announces itself to TSan
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -342,18 +344,22 @@ case "$job" in
     # std::threads, and FaultInjectorThreads draws verdicts for disjoint
     # sources from std::threads. The fiber switch announces every hand-off
     # to TSan (__tsan_switch_to_fiber), so fiber-running tests are covered
-    # too: the Task unit tests, a chaos run on four engine workers, and a
-    # crash recovery that snapshots and restores every node's fiber.
+    # too: the Task unit tests, a chaos run on four engine workers, a
+    # crash recovery that snapshots and restores every node's fiber, and
+    # 64-node runs on four workers under flat, binomial and two-level
+    # collectives (each node's collective record is written from its own
+    # partition).
     cmake -B build-tsan -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
     cmake --build build-tsan -j "$jobs" --target pdes_partition_test \
-      plan_store_test chaos_test sim_task_test crash_recovery_test
+      plan_store_test chaos_test sim_task_test crash_recovery_test scale_test
     tsan_tests="PartitionMerge|PlanStoreThreads|FaultInjectorThreads|^Task\\."
     tsan_tests+="|SimThreads\\.ChaosRunIsBitIdenticalAtFourThreads"
     tsan_tests+="|CrashRecovery\\.ScheduledCrashRecoversBitIdentically"
+    tsan_tests+="|ScaleDeterminism\\.SixtyFourNodesAcrossSimThreadsJobsAndChaos"
     FGDSM_HOST_CORES=8 ctest --test-dir build-tsan --output-on-failure \
       -R "$tsan_tests"
     ;;

@@ -170,10 +170,6 @@ class Executor {
                          cfg_.opt.rt_overhead_elim,
                      "redundant-communication elimination requires the "
                      "run-time overhead elimination level");
-    // Bind sizes: program defaults overridden by the config.
-    base_bind_ = prog_.sizes;
-    // (Bindings has no iteration; apply overrides by name when evaluating —
-    // instead we just overlay: overrides win.)
     // Allocate arrays.
     for (const auto& a : prog_.arrays) {
       hpf::ArrayLayout lay;
@@ -339,8 +335,7 @@ class Executor {
     st.loop_stats[loop.name] += delta;
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(st.node->id()), "loop",
-               tr->intern(loop.name),
-               lt0, st.task->now());
+               loop.name.c_str(), lt0, st.task->now());
   }
 
   void exec_loop_inner(const hpf::ParallelLoop& loop, NodeRun& st) {
@@ -380,12 +375,12 @@ class Executor {
     if (irregular && plan.any_comm)
       if (auto* tr = cluster_.tracer())
         tr->span(sim::Tracer::compute_track(n.id()), "schedule-exec",
-                 tr->intern(loop.name), sched0, t.now());
+                 loop.name.c_str(), sched0, t.now());
 
     run_chunks(loop, st, iters, /*checks=*/shmem(), 1.0);
 
     if (cfg_.opt.mode == Mode::kShmemOpt && plan.any_comm)
-      ccc_epilogue(loop, plan, st);
+      ccc_epilogue(plan, st);
     if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
       mp_epilogue(plan, st);
 
@@ -539,7 +534,7 @@ class Executor {
     n.stats.ccc_ns += t.now() - t0;
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(n.id()), "inspect",
-               tr->intern(loop.name), t0, t.now());
+               loop.name.c_str(), t0, t.now());
     return rec.plan;
   }
 
@@ -639,14 +634,12 @@ class Executor {
                t.now());
   }
 
-  void ccc_epilogue(const hpf::ParallelLoop& loop, const CommPlan& plan,
-                    NodeRun& st) {
+  void ccc_epilogue(const CommPlan& plan, NodeRun& st) {
     Node& n = *st.node;
     sim::Task& t = *st.task;
     proto::Stache& p = *stache_;
-    const std::size_t bs = cluster_.block_size();
     const std::size_t payload =
-        cfg_.opt.bulk_transfer ? cfg_.opt.max_payload : bs;
+        cfg_.opt.bulk_transfer ? cfg_.opt.max_payload : cluster_.block_size();
 
     const sim::Time t0 = t.now();
     // Non-owner writes return to the owner.
@@ -665,8 +658,6 @@ class Executor {
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(n.id()), "ccc", "ccc_epilogue", t0,
                t.now());
-    (void)loop;
-    (void)bs;
   }
 
   // ---- Message-passing backend ----
@@ -886,7 +877,6 @@ class Executor {
   // The run's one communication plan per (loop, key), shared by every node's
   // plan records (one store per run: BatchRunner runs never share it).
   core::PlanStore plan_store_;
-  Bindings base_bind_;
   std::vector<NodeRun> nodes_;
 };
 

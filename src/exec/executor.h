@@ -46,9 +46,6 @@ struct RunResult {
   // events the run processed. Deterministic (a simulated quantity), but
   // deliberately kept out of the fgdsm-bench-v1 JSON schema.
   std::uint64_t engine_events = 0;
-  double elapsed_seconds() const {
-    return static_cast<double>(stats.elapsed_ns) / 1e9;
-  }
 };
 
 // Reentrant: a run is a self-contained value (engine + cluster + executor

@@ -175,14 +175,6 @@ ConcreteSection ref_section(const ParallelLoop& loop, const ArrayRef& ref,
                      /*allow_dist_dependent_free=*/false);
 }
 
-ConcreteSection chunk_footprint(const ParallelLoop& loop, const ArrayRef& ref,
-                                const Program& prog, const Bindings& b,
-                                std::int64_t dist_value) {
-  return section_for(loop, ref, prog, b,
-                     ConcreteInterval{dist_value, dist_value, 1},
-                     /*allow_dist_dependent_free=*/true);
-}
-
 void chunk_footprint_into(const ParallelLoop& loop, const ArrayRef& ref,
                           const Program& prog, const Bindings& b,
                           std::int64_t dist_value, FootprintScratch& scratch,

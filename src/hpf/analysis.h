@@ -57,12 +57,6 @@ ConcreteSection ref_section(const ParallelLoop& loop, const ArrayRef& ref,
                             const Program& prog, const Bindings& b,
                             const ConcreteInterval& dist_range);
 
-// Footprint of `ref` for a single chunk (dist variable fixed); free-variable
-// bounds may reference the dist variable here.
-ConcreteSection chunk_footprint(const ParallelLoop& loop, const ArrayRef& ref,
-                                const Program& prog, const Bindings& b,
-                                std::int64_t dist_value);
-
 // Reusable temporaries for chunk_footprint_into: the loop-variable range
 // list. Loop-variable names are short (SSO), so once the vector has grown
 // to the loop's variable count a refill touches no allocator.
@@ -70,9 +64,10 @@ struct FootprintScratch {
   std::vector<std::pair<std::string, ConcreteInterval>> ranges;
 };
 
-// Allocation-free form of chunk_footprint for per-chunk hot loops: clears
-// and refills out->dims, drawing temporaries from `scratch`; both keep
-// their capacity across calls.
+// Footprint of `ref` for a single chunk (dist variable fixed); free-variable
+// bounds may reference the dist variable here. Allocation-free for per-chunk
+// hot loops: clears and refills out->dims, drawing temporaries from
+// `scratch`; both keep their capacity across calls.
 void chunk_footprint_into(const ParallelLoop& loop, const ArrayRef& ref,
                           const Program& prog, const Bindings& b,
                           std::int64_t dist_value, FootprintScratch& scratch,

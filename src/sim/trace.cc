@@ -19,22 +19,19 @@ std::string us(Time t) {
 }  // namespace
 
 void Tracer::set_track_name(int tid, std::string name) {
+  check_owner();
   track_names_[tid] = std::move(name);
-}
-
-const char* Tracer::intern(std::string_view label) {
-  auto it = interned_.find(label);
-  if (it == interned_.end()) it = interned_.emplace(label).first;
-  return it->c_str();
 }
 
 void Tracer::span(int tid, const char* cat, const char* name, Time t0,
                   Time t1) {
+  check_owner();
   events_.push_back(Event{Kind::kSpan, tid, cat, name, t0, t1, 0});
 }
 
 std::uint64_t Tracer::flow_begin(int tid, const char* cat, const char* name,
                                  Time t0, Time t1) {
+  check_owner();
   const std::uint64_t id = next_flow_++;
   events_.push_back(Event{Kind::kFlowSrc, tid, cat, name, t0, t1, id});
   return id;
@@ -42,6 +39,7 @@ std::uint64_t Tracer::flow_begin(int tid, const char* cat, const char* name,
 
 void Tracer::flow_end(std::uint64_t id, int tid, const char* cat,
                       const char* name, Time t0, Time t1) {
+  check_owner();
   events_.push_back(Event{Kind::kFlowDst, tid, cat, name, t0, t1, id});
 }
 

@@ -6,8 +6,9 @@
 // The tracer is strictly passive: it never charges virtual time, so a traced
 // run is bit-identical to an untraced one. It is also strictly optional —
 // every recording site guards on a nullable Tracer*, so the disabled path
-// costs one pointer test. One Tracer belongs to one simulation (same
-// single-thread confinement as the Engine it observes).
+// costs one pointer test. One Tracer belongs to one simulation and is
+// mutated from the one host thread that created it (the cluster drains a
+// traced run on a single worker); debug builds check this on every record.
 //
 // Track convention (one Chrome "thread" per track, pid 0): a node's compute
 // processor is tid 2*node, its protocol processor tid 2*node + 1. Spans on
@@ -18,12 +19,12 @@
 #include <cstdint>
 #include <map>
 #include <ostream>
-#include <set>
 #include <string>
-#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/sim/time.h"
+#include "src/util/assert.h"
 
 namespace fgdsm::sim {
 
@@ -34,17 +35,10 @@ class Tracer {
 
   void set_track_name(int tid, std::string name);
 
-  // Intern a dynamic label: returns a pointer that stays valid for the
-  // tracer's lifetime, allocating only on a label's first appearance. Spans
-  // and flows store `const char*` — recording a span with a label that
-  // repeats every iteration (loop names, message-type labels) costs zero
-  // allocations after the first, where it used to copy a std::string per
-  // event. Labels that ARE string literals can skip the call entirely.
-  const char* intern(std::string_view label);
-
   // Duration span [t0, t1] (virtual ns) on `tid`. Category is a static
-  // string: "loop", "miss", "ccc", "sync", "msg". The name must be a string
-  // literal or an intern()ed pointer — it is stored, not copied.
+  // string: "loop", "miss", "ccc", "sync", "msg". The name is stored, not
+  // copied: it must outlive write() (a literal, a loop's name in the
+  // Program being run, a process-wide label table).
   void span(int tid, const char* cat, const char* name, Time t0, Time t1);
 
   // Message arrow. flow_begin records the send-side slice [t0, t1] plus a
@@ -65,11 +59,14 @@ class Tracer {
 
  private:
   enum class Kind : std::uint8_t { kSpan, kFlowSrc, kFlowDst };
+  void check_owner() const {
+    FGDSM_DCHECK(owner_ == std::this_thread::get_id());
+  }
   struct Event {
     Kind kind;
     int tid;
     const char* cat;
-    const char* name;  // literal or interned — never owned by the event
+    const char* name;  // never owned by the event
     Time t0;
     Time t1;
     std::uint64_t flow = 0;
@@ -77,11 +74,8 @@ class Tracer {
 
   std::vector<Event> events_;
   std::map<int, std::string> track_names_;
-  // Interned label storage: node-based, so c_str() pointers stay stable as
-  // the set grows. Heterogeneous lookup keeps repeat interning free of
-  // temporary std::string construction.
-  std::set<std::string, std::less<>> interned_;
   std::uint64_t next_flow_ = 1;
+  std::thread::id owner_ = std::this_thread::get_id();
 };
 
 }  // namespace fgdsm::sim

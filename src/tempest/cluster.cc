@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include "src/sim/trace.h"
@@ -16,6 +15,25 @@ namespace fgdsm::tempest {
 namespace {
 std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
+}
+
+double reduce_combine(int op, double a, double b) {
+  switch (static_cast<Node::ReduceOp>(op)) {
+    case Node::ReduceOp::kSum: return a + b;
+    case Node::ReduceOp::kMax: return std::max(a, b);
+    case Node::ReduceOp::kMin: return std::min(a, b);
+  }
+  return a;
+}
+
+sim::Message collective_msg(int dst, MsgType type, std::int64_t arg0 = 0,
+                            std::int64_t arg1 = 0) {
+  sim::Message m;
+  m.dst = dst;
+  m.type = static_cast<std::uint16_t>(type);
+  m.arg[0] = arg0;
+  m.arg[1] = arg1;
+  return m;
 }
 }  // namespace
 
@@ -227,240 +245,173 @@ int Cluster::collective_depth(Collectives topo, int nnodes, int group) {
   return 1;
 }
 
-double Cluster::reduce_identity(int op) {
-  switch (static_cast<Node::ReduceOp>(op)) {
-    case Node::ReduceOp::kSum: return 0.0;
-    case Node::ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
-    case Node::ReduceOp::kMin: return std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
+Cluster::CollectiveRecord& Cluster::record(int node) {
+  FGDSM_DCHECK(engine_.partition_of_node(node) ==
+               engine_.current_partition_id());
+  return colls_[static_cast<std::size_t>(node)];
 }
 
-double Cluster::reduce_combine(int op, double a, double b) {
-  switch (static_cast<Node::ReduceOp>(op)) {
-    case Node::ReduceOp::kSum: return a + b;
-    case Node::ReduceOp::kMax: return std::max(a, b);
-    case Node::ReduceOp::kMin: return std::min(a, b);
-  }
-  return a;
+void Cluster::record_op(CollectiveRecord& r, int op) {
+  if (!r.red_self && r.red_arrived == 0)
+    r.red_op = op;  // first contribution of the round
+  else
+    FGDSM_ASSERT_MSG(r.red_op == op, "mismatched reduction ops across nodes");
 }
 
-void Cluster::tree_barrier_step(int node, sim::Time t, const SendFn& send) {
-  if (tree_self_arrived[static_cast<std::size_t>(node)] == 0 ||
-      tree_arrived[static_cast<std::size_t>(node)] != tree_nchildren(node))
+void Cluster::arrive_barrier(Node& n, sim::Task& task) {
+  const SendFn send = [&](sim::Message m) { n.send(task, std::move(m)); };
+  if (loopback_root_ && n.id() == 0) {
+    send(collective_msg(0, MsgType::kBarrierArrive));
     return;
+  }
+  record(n.id()).self_arrived = true;
+  barrier_step(n.id(), task.now(), send);
+}
+
+void Cluster::arrive_reduce(Node& n, sim::Task& task, double v, int op) {
+  const SendFn send = [&](sim::Message m) { n.send(task, std::move(m)); };
+  if (loopback_root_ && n.id() == 0) {
+    send(collective_msg(0, MsgType::kReduceUp, std::bit_cast<std::int64_t>(v),
+                        op));
+    return;
+  }
+  CollectiveRecord& r = record(n.id());
+  record_op(r, op);
+  r.partial = v;
+  r.red_self = true;
+  reduce_step(n.id(), task.now(), send);
+}
+
+void Cluster::barrier_step(int node, sim::Time t, const SendFn& send) {
+  CollectiveRecord& r = record(node);
+  const std::size_t nkids =
+      tree_children_[static_cast<std::size_t>(node)].size();
+  if (!r.self_arrived || static_cast<std::size_t>(r.arrived) != nkids) return;
   // Subtree complete: reset for the next round, then combine upward (or
   // release downward at the root).
-  tree_self_arrived[static_cast<std::size_t>(node)] = 0;
-  tree_arrived[static_cast<std::size_t>(node)] = 0;
-  if (node == 0) {
-    // Barrier complete, nothing released yet: all nodes drained and blocked
-    // — the globally quiescent point (see the centralized handler).
-    if (cfg_.check_coherence && nodes_[0]->protocol != nullptr)
-      nodes_[0]->protocol->check_invariants(*nodes_[0]);
-    if (on_barrier_complete(t)) return;  // releases deferred past the capture
-    for (int c : tree_children(0)) {
-      sim::Message rel;
-      rel.dst = c;
-      rel.type = static_cast<std::uint16_t>(MsgType::kBarrierRelease);
-      send(std::move(rel));
-    }
-    nodes_[0]->barrier_sem.post(t);
-  } else {
-    sim::Message up;
-    up.dst = tree_parent(node);
-    up.type = static_cast<std::uint16_t>(MsgType::kBarrierArrive);
-    send(std::move(up));
+  r.self_arrived = false;
+  r.arrived = 0;
+  if (node != 0) {
+    send(collective_msg(tree_parent_[static_cast<std::size_t>(node)],
+                        MsgType::kBarrierArrive));
+    return;
   }
+  // Barrier complete, nothing released yet: every node has drained its
+  // transactions and is blocked waiting for release — the one globally
+  // quiescent, race-free point where the protocol's invariants can be
+  // checked.
+  if (cfg_.check_coherence && nodes_[0]->protocol != nullptr)
+    nodes_[0]->protocol->check_invariants(*nodes_[0]);
+  if (on_barrier_complete(t)) return;  // releases deferred past the capture
+  if (fan_out_from_root(MsgType::kBarrierRelease, 0, send))
+    nodes_[0]->barrier_sem.post(t);
 }
 
-void Cluster::tree_reduce_step(int node, sim::Time t, const SendFn& send) {
-  if (tree_red_self[static_cast<std::size_t>(node)] == 0 ||
-      tree_red_arrived[static_cast<std::size_t>(node)] != tree_nchildren(node))
+void Cluster::reduce_step(int node, sim::Time t, const SendFn& send) {
+  CollectiveRecord& r = record(node);
+  if (!r.red_self ||
+      static_cast<std::size_t>(r.red_arrived) != r.red_contrib.size())
     return;
-  tree_red_self[static_cast<std::size_t>(node)] = 0;
-  tree_red_arrived[static_cast<std::size_t>(node)] = 0;
+  r.red_self = false;
+  r.red_arrived = 0;
   // Fold in a fixed order — own value first, then children ascending — so
   // the subtree's floating-point result is independent of arrival order
   // (chaos delays reorder kReduceUp messages; results must not move).
-  double partial = tree_partial[static_cast<std::size_t>(node)];
-  const std::vector<double>& contrib =
-      tree_red_contrib[static_cast<std::size_t>(node)];
-  for (const double c : contrib)
-    partial = reduce_combine(tree_red_op[static_cast<std::size_t>(node)],
-                             partial, c);
-  if (node == 0) {
-    nodes_[0]->reduce_result = partial;
-    for (int c : tree_children(0)) {
-      sim::Message down;
-      down.dst = c;
-      down.type = static_cast<std::uint16_t>(MsgType::kReduceDown);
-      down.arg[0] = std::bit_cast<std::int64_t>(partial);
-      send(std::move(down));
-    }
-    nodes_[0]->reduce_sem.post(t);
-  } else {
-    sim::Message up;
-    up.dst = tree_parent(node);
-    up.type = static_cast<std::uint16_t>(MsgType::kReduceUp);
-    up.arg[0] = std::bit_cast<std::int64_t>(partial);
-    up.arg[1] = tree_red_op[static_cast<std::size_t>(node)];
-    send(std::move(up));
+  double partial = r.partial;
+  for (const double c : r.red_contrib)
+    partial = reduce_combine(r.red_op, partial, c);
+  const std::int64_t bits = std::bit_cast<std::int64_t>(partial);
+  if (node != 0) {
+    send(collective_msg(tree_parent_[static_cast<std::size_t>(node)],
+                        MsgType::kReduceUp, bits, r.red_op));
+    return;
   }
+  if (fan_out_from_root(MsgType::kReduceDown, bits, send)) {
+    nodes_[0]->reduce_result = partial;
+    nodes_[0]->reduce_sem.post(t);
+  }
+}
+
+bool Cluster::fan_out_from_root(MsgType type, std::int64_t arg,
+                                const SendFn& send) {
+  if (loopback_root_) send(collective_msg(0, type, arg));
+  for (const int c : tree_children_[0]) send(collective_msg(c, type, arg));
+  return !loopback_root_;
+}
+
+void Cluster::forward_down(Node& self, const sim::Message& m,
+                           HandlerClock& clk) {
+  if (self.id() == 0) return;
+  for (const int c : tree_children_[static_cast<std::size_t>(self.id())])
+    self.send_from_handler(
+        clk, collective_msg(c, static_cast<MsgType>(m.type), m.arg[0]));
 }
 
 void Cluster::register_builtin_handlers() {
-  if (cfg_.collectives != Collectives::kFlat) {
-    register_tree_handlers();
-    return;
-  }
-  // Centralized barrier: node 0 counts arrivals and broadcasts the release.
-  // The linear broadcast occupies node 0's protocol processor and transmit
-  // path serially — barrier cost grows with cluster size, as on the real
-  // platform.
-  register_handler(
-      MsgType::kBarrierArrive,
-      [this](Node& self, sim::Message&, HandlerClock& clk) {
-        FGDSM_ASSERT(self.id() == 0);
-        if (++barrier_state.arrived == cfg_.nnodes) {
-          // Every node has drained its transactions and is blocked waiting
-          // for release: the one globally quiescent, race-free point where
-          // the protocol's invariants can be checked.
-          if (cfg_.check_coherence && self.protocol != nullptr)
-            self.protocol->check_invariants(self);
-          barrier_state.arrived = 0;
-          if (on_barrier_complete(clk.t)) return;  // releases deferred
-          for (int i = 0; i < cfg_.nnodes; ++i) {
-            sim::Message rel;
-            rel.dst = i;
-            rel.type = static_cast<std::uint16_t>(MsgType::kBarrierRelease);
-            self.send_from_handler(clk, std::move(rel));
-          }
-        }
-      });
-  register_handler(MsgType::kBarrierRelease,
-                   [](Node& self, sim::Message&, HandlerClock& clk) {
-                     self.barrier_sem.post(clk.t);
-                   });
-
-  register_handler(
-      MsgType::kReduceUp,
-      [this](Node& self, sim::Message& m, HandlerClock& clk) {
-        FGDSM_ASSERT(self.id() == 0);
-        const double v = std::bit_cast<double>(m.arg[0]);
-        const int op = static_cast<int>(m.arg[1]);
-        if (reduce_state.arrived == 0) {
-          reduce_state.op = op;
-          reduce_state.contrib.assign(
-              static_cast<std::size_t>(cfg_.nnodes), 0.0);
-        } else {
-          FGDSM_ASSERT_MSG(reduce_state.op == op,
-                           "mismatched reduction ops across nodes");
-        }
-        reduce_state.contrib[static_cast<std::size_t>(m.src)] = v;
-        if (++reduce_state.arrived == cfg_.nnodes) {
-          reduce_state.arrived = 0;
-          double acc = reduce_state.contrib[0];
-          for (int i = 1; i < cfg_.nnodes; ++i) {
-            const double c = reduce_state.contrib[static_cast<std::size_t>(i)];
-            switch (static_cast<Node::ReduceOp>(op)) {
-              case Node::ReduceOp::kSum: acc += c; break;
-              case Node::ReduceOp::kMax: acc = std::max(acc, c); break;
-              case Node::ReduceOp::kMin: acc = std::min(acc, c); break;
-            }
-          }
-          for (int i = 0; i < cfg_.nnodes; ++i) {
-            sim::Message down;
-            down.dst = i;
-            down.type = static_cast<std::uint16_t>(MsgType::kReduceDown);
-            down.arg[0] = std::bit_cast<std::int64_t>(acc);
-            self.send_from_handler(clk, std::move(down));
-          }
-        }
-      });
-  register_handler(MsgType::kReduceDown,
-                   [](Node& self, sim::Message& m, HandlerClock& clk) {
-                     self.reduce_result = std::bit_cast<double>(m.arg[0]);
-                     self.reduce_sem.post(clk.t);
-                   });
-}
-
-void Cluster::register_tree_handlers() {
   // Precompute the configured shape once; the steps and handlers below are
   // topology-agnostic table walks.
   const std::size_t n = static_cast<std::size_t>(cfg_.nnodes);
   tree_parent_.assign(n, 0);
   tree_children_.assign(n, {});
+  colls_.assign(n, {});
   for (int i = 0; i < cfg_.nnodes; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
     if (i > 0)
-      tree_parent_[static_cast<std::size_t>(i)] = collective_parent(
-          cfg_.collectives, i, cfg_.nnodes, cfg_.collective_group);
-    tree_children_[static_cast<std::size_t>(i)] = collective_children(
-        cfg_.collectives, i, cfg_.nnodes, cfg_.collective_group);
+      tree_parent_[k] = collective_parent(cfg_.collectives, i, cfg_.nnodes,
+                                          cfg_.collective_group);
+    tree_children_[k] = collective_children(cfg_.collectives, i, cfg_.nnodes,
+                                            cfg_.collective_group);
+    colls_[k].red_contrib.resize(tree_children_[k].size(), 0.0);
   }
-  tree_arrived.assign(static_cast<std::size_t>(cfg_.nnodes), 0);
-  tree_self_arrived.assign(static_cast<std::size_t>(cfg_.nnodes), 0);
-  tree_partial.assign(static_cast<std::size_t>(cfg_.nnodes), 0.0);
-  tree_red_contrib.assign(static_cast<std::size_t>(cfg_.nnodes), {});
-  for (int i = 0; i < cfg_.nnodes; ++i)
-    tree_red_contrib[static_cast<std::size_t>(i)].resize(
-        tree_children_[static_cast<std::size_t>(i)].size(), 0.0);
-  tree_red_arrived.assign(static_cast<std::size_t>(cfg_.nnodes), 0);
-  tree_red_self.assign(static_cast<std::size_t>(cfg_.nnodes), 0);
-  tree_red_op.assign(static_cast<std::size_t>(cfg_.nnodes), 0);
+  loopback_root_ = cfg_.collectives == Collectives::kFlat;
 
+  // An arrival from the node itself is a loopback root's own arrival.
   register_handler(MsgType::kBarrierArrive,
-                   [this](Node& self, sim::Message&, HandlerClock& clk) {
-                     ++tree_arrived[static_cast<std::size_t>(self.id())];
-                     tree_barrier_step(self.id(), clk.t,
-                                       [&](sim::Message m) {
-                                         self.send_from_handler(clk,
-                                                                std::move(m));
-                                       });
+                   [this](Node& self, sim::Message& m, HandlerClock& clk) {
+                     CollectiveRecord& r = record(self.id());
+                     if (m.src == self.id())
+                       r.self_arrived = true;
+                     else
+                       ++r.arrived;
+                     barrier_step(self.id(), clk.t, [&](sim::Message msg) {
+                       self.send_from_handler(clk, std::move(msg));
+                     });
                    });
-  register_handler(
-      MsgType::kBarrierRelease,
-      [this](Node& self, sim::Message&, HandlerClock& clk) {
-        // Forward down the tree, then release the local task.
-        for (int c : tree_children(self.id())) {
-          sim::Message rel;
-          rel.dst = c;
-          rel.type = static_cast<std::uint16_t>(MsgType::kBarrierRelease);
-          self.send_from_handler(clk, std::move(rel));
-        }
-        self.barrier_sem.post(clk.t);
-      });
+  register_handler(MsgType::kBarrierRelease,
+                   [this](Node& self, sim::Message& m, HandlerClock& clk) {
+                     forward_down(self, m, clk);
+                     self.barrier_sem.post(clk.t);
+                   });
   register_handler(
       MsgType::kReduceUp,
       [this](Node& self, sim::Message& m, HandlerClock& clk) {
-        const std::size_t id = static_cast<std::size_t>(self.id());
-        tree_red_op[id] = static_cast<int>(m.arg[1]);
-        // Buffer the child's value in its slot; the fold happens in
-        // tree_reduce_step once the subtree is complete, in child order.
-        const std::vector<int>& kids = tree_children(self.id());
-        std::size_t slot = 0;
-        while (slot < kids.size() && kids[slot] != m.src) ++slot;
-        FGDSM_ASSERT_MSG(slot < kids.size(),
-                         "kReduceUp from a non-child node");
-        tree_red_contrib[id][slot] = std::bit_cast<double>(m.arg[0]);
-        ++tree_red_arrived[id];
-        tree_reduce_step(self.id(), clk.t, [&](sim::Message msg) {
+        CollectiveRecord& r = record(self.id());
+        const double v = std::bit_cast<double>(m.arg[0]);
+        record_op(r, static_cast<int>(m.arg[1]));
+        if (m.src == self.id()) {
+          r.partial = v;
+          r.red_self = true;
+        } else {
+          // Buffer the child's value in its slot; reduce_step folds once the
+          // subtree is complete, in child order.
+          const std::vector<int>& kids =
+              tree_children_[static_cast<std::size_t>(self.id())];
+          const auto it = std::lower_bound(kids.begin(), kids.end(), m.src);
+          FGDSM_ASSERT_MSG(it != kids.end() && *it == m.src,
+                           "kReduceUp from a non-child node");
+          r.red_contrib[static_cast<std::size_t>(it - kids.begin())] = v;
+          ++r.red_arrived;
+        }
+        reduce_step(self.id(), clk.t, [&](sim::Message msg) {
           self.send_from_handler(clk, std::move(msg));
         });
       });
-  register_handler(
-      MsgType::kReduceDown,
-      [this](Node& self, sim::Message& m, HandlerClock& clk) {
-        for (int c : tree_children(self.id())) {
-          sim::Message down;
-          down.dst = c;
-          down.type = static_cast<std::uint16_t>(MsgType::kReduceDown);
-          down.arg[0] = m.arg[0];
-          self.send_from_handler(clk, std::move(down));
-        }
-        self.reduce_result = std::bit_cast<double>(m.arg[0]);
-        self.reduce_sem.post(clk.t);
-      });
+  register_handler(MsgType::kReduceDown,
+                   [this](Node& self, sim::Message& m, HandlerClock& clk) {
+                     forward_down(self, m, clk);
+                     self.reduce_result = std::bit_cast<double>(m.arg[0]);
+                     self.reduce_sem.post(clk.t);
+                   });
 }
 
 // ---- Fail-stop crashes + checkpoint/rollback recovery ----
@@ -508,22 +459,10 @@ void Cluster::finish_barrier_release(sim::Time t) {
   // control to the recovery hook.
   if (root.crashed()) return;
   HandlerClock clk{root.proto_res().acquire(t, 0)};
-  if (cfg_.collectives == Collectives::kFlat) {
-    for (int i = 0; i < cfg_.nnodes; ++i) {
-      sim::Message rel;
-      rel.dst = i;
-      rel.type = static_cast<std::uint16_t>(MsgType::kBarrierRelease);
-      root.send_from_handler(clk, std::move(rel));
-    }
-  } else {
-    for (int c : tree_children(0)) {
-      sim::Message rel;
-      rel.dst = c;
-      rel.type = static_cast<std::uint16_t>(MsgType::kBarrierRelease);
-      root.send_from_handler(clk, std::move(rel));
-    }
+  if (fan_out_from_root(MsgType::kBarrierRelease, 0, [&](sim::Message m) {
+        root.send_from_handler(clk, std::move(m));
+      }))
     root.barrier_sem.post(clk.t);
-  }
   root.proto_res().set_available(clk.t);
 }
 
@@ -635,14 +574,12 @@ bool Cluster::recover() {
     n.stats.recoveries += 1;
     n.stats.rollback_ns += static_cast<std::int64_t>(t_rec - ckpt_.t);
   }
-  // Coordinator collective books restart from scratch; partial arrivals
-  // belong to the abandoned timeline.
-  barrier_state.arrived = 0;
-  reduce_state.arrived = 0;
-  std::fill(tree_arrived.begin(), tree_arrived.end(), 0);
-  std::fill(tree_self_arrived.begin(), tree_self_arrived.end(), 0);
-  std::fill(tree_red_arrived.begin(), tree_red_arrived.end(), 0);
-  std::fill(tree_red_self.begin(), tree_red_self.end(), 0);
+  // Collective books restart from scratch; partial arrivals belong to the
+  // abandoned timeline.
+  for (CollectiveRecord& r : colls_) {
+    r.self_arrived = r.red_self = false;
+    r.arrived = r.red_arrived = 0;
+  }
   ckpt_request_ = false;  // any capture requested on the dead timeline
   for (std::size_t h = 0; h < host_hooks_.size(); ++h)
     if (host_hooks_[h].restore) host_hooks_[h].restore(ckpt_.host_blobs[h]);

@@ -1,6 +1,6 @@
 // The simulated cluster: engine + network + nodes + the global shared
-// segment layout, plus the handler dispatch table and the coordinator state
-// for barriers and reductions.
+// segment layout, plus the handler dispatch table and the collective tree
+// that barriers and reductions walk.
 #pragma once
 
 #include <array>
@@ -106,40 +106,26 @@ class Cluster {
                                : net_.send(earliest, std::move(m));
   }
   sim::ReliableChannel* channel() { return channel_.get(); }
-  sim::FaultInjector* fault_injector() { return fault_.get(); }
   sim::Tracer* tracer() const { return cfg_.tracer; }
   const ClusterConfig& config() const { return cfg_; }
   const sim::CostModel& costs() const { return cfg_.costs; }
   Node& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
 
-  // ---- Coordinator state ----
-  // Centralized (kFlat): node 0 counts arrivals. Tree topologies: every
-  // node counts arrivals from its children in the configured shape (binary,
-  // binomial, or two-level groups — see Collectives); the release flows
-  // back down the same shape.
-  struct BarrierState {
-    int arrived = 0;
-  } barrier_state;
-  std::vector<int> tree_arrived;        // per node: children heard this round
-  std::vector<char> tree_self_arrived;  // per node: own arrival this round
-  std::vector<double> tree_partial;     // per node: own contribution
-  // Per node, one slot per child (same index as tree_children(node)).
-  // Child contributions are buffered here and folded in child order only
-  // once the subtree is complete — never in arrival order, which chaos
-  // delays can permute (floating-point combines are order-sensitive, and
-  // the determinism contract says faults may move timing, not results).
-  std::vector<std::vector<double>> tree_red_contrib;
-  std::vector<int> tree_red_arrived;    // reduction children heard
-  std::vector<char> tree_red_self;      // own contribution made
-  // Per node (a single shared scalar would be written concurrently by every
-  // partition's reduction path under --sim-threads).
-  std::vector<int> tree_red_op;         // reduction op this round
+  // ---- Collectives ----
+  // Barriers and reductions walk one spanning tree rooted at node 0, built
+  // once from the configured shape (see Collectives). kFlat is the star —
+  // the root's children are every other node, the paper's centralized
+  // coordinator — and the other shapes are hierarchical. A node's subtree
+  // is complete once its own arrival and every child's have been heard; it
+  // then reports to its parent, and the root's completion flows back down
+  // the same tree.
+  //
+  // Task-context arrivals, from Node::barrier and Node::allreduce.
+  void arrive_barrier(Node& n, sim::Task& task);
+  void arrive_reduce(Node& n, sim::Task& task, double v, int op);
 
-  // ---- Collective tree shapes ----
   // Pure shape functions (usable without a Cluster — the unit tests assert
-  // parent/child sets directly). For kFlat they describe the centralized
-  // star (node 0 fans out to everyone) for diagnostics; the flat path never
-  // routes through the tree handlers.
+  // parent/child sets directly).
   static int resolve_group(int nnodes, int group);  // 0 -> ceil(sqrt(n))
   static int collective_parent(Collectives topo, int node, int nnodes,
                                int group = 0);
@@ -148,37 +134,41 @@ class Cluster {
   // Longest root-to-leaf hop count of the shape (0 for a single node).
   static int collective_depth(Collectives topo, int nnodes, int group = 0);
 
-  // Table lookups for the configured topology (built by
-  // register_tree_handlers; valid only when collectives != kFlat).
-  int tree_parent(int node) const {
-    return tree_parent_[static_cast<std::size_t>(node)];
-  }
-  const std::vector<int>& tree_children(int node) const {
-    return tree_children_[static_cast<std::size_t>(node)];
-  }
-  int tree_nchildren(int node) const {
-    return static_cast<int>(tree_children(node).size());
-  }
-  // Barrier/reduction tree steps shared by task- and handler-context
-  // arrivals; `send` abstracts who pays the injection cost.
-  using SendFn = std::function<void(sim::Message)>;
-  void tree_barrier_step(int node, sim::Time t, const SendFn& send);
-  void tree_reduce_step(int node, sim::Time t, const SendFn& send);
-  static double reduce_identity(int op);
-  static double reduce_combine(int op, double a, double b);
-  // Contributions are folded in node-id order once all have arrived, so a
-  // reduction's floating-point result depends only on the values and the
-  // node count — not on message timing (results are comparable across
-  // modes and optimization levels).
-  struct ReduceState {
-    int arrived = 0;
-    int op = 0;
-    std::vector<double> contrib;
-  } reduce_state;
-
  private:
   void register_builtin_handlers();
-  void register_tree_handlers();
+
+  // One node's collective books for the current round. Written only from
+  // that node's own partition (its compute task or its handlers), so
+  // concurrently drained partitions never share one.
+  struct CollectiveRecord {
+    bool self_arrived = false;  // own barrier arrival
+    int arrived = 0;            // barrier children heard
+    bool red_self = false;      // own contribution made
+    int red_arrived = 0;        // reduction children heard
+    int red_op = 0;
+    double partial = 0.0;       // own contribution
+    // One slot per child (same index as tree_children_). Child values are
+    // buffered here and folded in child order only once the subtree is
+    // complete — never in arrival order, which chaos delays can permute
+    // (floating-point combines are order-sensitive, and the determinism
+    // contract says faults may move timing, not results).
+    std::vector<double> red_contrib;
+  };
+  CollectiveRecord& record(int node);
+  // `send` abstracts who pays the injection cost: the arriving task, or the
+  // handler that heard the arrival.
+  using SendFn = std::function<void(sim::Message)>;
+  void barrier_step(int node, sim::Time t, const SendFn& send);
+  void reduce_step(int node, sim::Time t, const SendFn& send);
+  void record_op(CollectiveRecord& r, int op);
+  // The root's fan-out: to itself first when it reaches itself by loopback,
+  // then to each child ascending. Returns true when no loopback copy went
+  // out, so the caller completes the root's own wait directly.
+  bool fan_out_from_root(MsgType type, std::int64_t arg, const SendFn& send);
+  // A release/down message: forward it to this node's children. A loopback
+  // root hears its own copy and never forwards it (its fan-out already
+  // went out); a tree root never receives one.
+  void forward_down(Node& self, const sim::Message& m, HandlerClock& clk);
 
   // ---- Checkpoint / rollback recovery (fail-stop crashes) ----
   // One node's share of a checkpoint. Memory is captured per block, only for
@@ -205,11 +195,10 @@ class Cluster {
     std::vector<NodeCheckpoint> nodes;
     std::vector<std::shared_ptr<void>> host_blobs;  // per registered hook
   };
-  // Barrier-completion bookkeeping shared by the flat and tree coordinators:
-  // advance the (monotonic, never rolled back) barrier epoch, draw
-  // probabilistic crashes for it, and request a checkpoint on every K-th
-  // epoch. Runs at the root-completion quiescent point, before any release
-  // is sent. Returns true when this is a checkpoint epoch: the caller must
+  // Barrier-completion bookkeeping at the root: advance the (monotonic,
+  // never rolled back) barrier epoch, draw probabilistic crashes for it, and
+  // request a checkpoint on every K-th epoch. Runs at the root-completion
+  // quiescent point, before any release is sent. Returns true when this is a checkpoint epoch: the caller must
   // then SKIP its inline release fan-out — the capture itself runs at the
   // engine's window barrier (the request event runs inside one partition's
   // drain, where other partitions' task fibers may still be executing on
@@ -235,9 +224,14 @@ class Cluster {
   std::unique_ptr<sim::FaultInjector> fault_;
   std::unique_ptr<sim::ReliableChannel> channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Configured collective shape, precomputed once (empty under kFlat).
+  // Configured collective shape, precomputed once, and the per-node books.
   std::vector<int> tree_parent_;
-  std::vector<std::vector<int>> tree_children_;
+  std::vector<std::vector<int>> tree_children_;  // ascending
+  std::vector<CollectiveRecord> colls_;
+  // Set from the config (kFlat): the root sends its own arrival and
+  // contribution to itself and hears its own release, as the platform's
+  // coordinator did, instead of recording and posting them directly.
+  bool loopback_root_ = false;
   std::array<Handler, static_cast<std::size_t>(MsgType::kCount)> handlers_;
   std::size_t segment_bytes_ = 0;
   std::vector<std::pair<std::string, GAddr>> regions_;

@@ -22,10 +22,13 @@ namespace fgdsm::tempest {
 // rejected up front with a clear error instead of risking silent overflow.
 inline constexpr int kMaxNodes = 65536;
 
-// Barrier/reduction topology.
-//   kFlat     — the platform's centralized coordinator: node 0 counts
-//               arrivals and linearly broadcasts releases (the paper's
-//               8-node cluster behavior; cost grows O(nodes)).
+// Barrier/reduction topology: the spanning tree rooted at node 0 that
+// Cluster's collective walk follows.
+//   kFlat     — the platform's centralized coordinator: the star whose
+//               root's children are every other node. Node 0 counts
+//               arrivals and linearly broadcasts releases, reaching itself
+//               by loopback message (the paper's 8-node cluster behavior;
+//               cost grows O(nodes)).
 //   kBinary   — binary tree rooted at 0 (parent (i-1)/2, children
 //               {2i+1, 2i+2}). This is the shape the old ablation actually
 //               implemented while its comments claimed "binomial".

@@ -1,15 +1,11 @@
 #include "src/tempest/node.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <cstring>
+#include <array>
+#include <string>
 #include <unordered_set>
 
-#if defined(__linux__)
 #include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include "src/sim/trace.h"
 #include "src/tempest/cluster.h"
@@ -20,13 +16,24 @@
 namespace fgdsm::tempest {
 
 namespace {
-// "tx <type>" / "h <type>" span labels, interned: the send and dispatch hot
-// paths record one of these per message, and building a std::string there
-// dominated allocs/event in traced runs.
-const char* msg_label(sim::Tracer& tr, const char* prefix, MsgType type) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s %s", prefix, to_string(type));
-  return tr.intern(buf);
+// "tx <type>" / "h <type>" span labels, built once per process: the send
+// and dispatch paths record one per traced message, and an immutable table
+// needs no owner — concurrent traced runs share it without a lock.
+const char* msg_label(bool tx, std::uint16_t type) {
+  constexpr std::size_t kN = static_cast<std::size_t>(MsgType::kCount) + 1;
+  struct Labels {
+    std::array<std::string, kN> tx, h;
+    Labels() {
+      for (std::size_t i = 0; i < kN; ++i) {
+        const char* name = to_string(static_cast<MsgType>(i));
+        tx[i].append("tx ").append(name);
+        h[i].append("h ").append(name);
+      }
+    }
+  };
+  static const Labels labels;
+  const std::size_t i = std::min<std::size_t>(type, kN - 1);  // kCount: "?"
+  return (tx ? labels.tx : labels.h)[i].c_str();
 }
 }  // namespace
 
@@ -37,18 +44,27 @@ Node::Node(Cluster& cluster, int id) : cluster_(cluster), id_(id) {
   drain_sem.set_name("drain");
 }
 
+void* Node::map_zeroed(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  FGDSM_ASSERT_MSG(p != MAP_FAILED,
+                   "cannot map " << bytes << " bytes of node memory");
+  return p;
+}
+
+void Node::Unmap::operator()(void* p) const { munmap(p, bytes); }
+
 void Node::finalize_memory(std::size_t segment_bytes, std::size_t nblocks,
                            bool dual_cpu) {
   dual_cpu_ = dual_cpu;
-  mem_ = make_zero_buf<std::byte>(segment_bytes);
+  mem_ = make_zero_map<std::byte>(segment_bytes);
   mem_bytes_ = segment_bytes;
-  tags_ = make_zero_buf<Access>(nblocks);
+  tags_ = make_zero_map<Access>(nblocks);
   ntags_ = nblocks;
-  FGDSM_ASSERT(segment_bytes == 0 || mem_ != nullptr);
-  FGDSM_ASSERT(nblocks == 0 || tags_ != nullptr);
   // Bootstrap state: the home node of a block holds it writable (its backing
   // store *is* the block's home storage); everyone else starts Invalid. The
-  // directory starts Idle, matching this. calloc-zeroed tags are already
+  // directory starts Idle, matching this. Zero-filled tags are already
   // kInvalid, so only the home-owned runs are written — one page in nnodes
   // of the tag array is ever touched here, keeping per-node startup cost
   // O(segment / nnodes) rather than O(segment).
@@ -75,26 +91,6 @@ std::byte* Node::mem(GAddr a) {
 const std::byte* Node::mem(GAddr a) const {
   FGDSM_DCHECK(a < mem_bytes_);
   return mem_.get() + a;
-}
-
-std::size_t Node::resident_mem_bytes() const {
-#if defined(__linux__)
-  if (mem_bytes_ == 0) return 0;
-  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(mem_.get());
-  const std::uintptr_t lo = (base + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = (base + mem_bytes_) & ~(page - 1);
-  if (hi <= lo) return 0;
-  std::vector<unsigned char> incore((hi - lo) / page);
-  if (mincore(reinterpret_cast<void*>(lo), hi - lo, incore.data()) != 0)
-    return 0;
-  std::size_t resident = 0;
-  for (unsigned char v : incore)
-    if (v & 1) resident += page;
-  return resident;
-#else
-  return 0;
-#endif
 }
 
 // Both ensure_* routines loop until one *yield-free* pass over the footprint
@@ -266,7 +262,7 @@ void Node::send(sim::Task& task, sim::Message m) {
   if (auto* tr = cluster_.tracer()) {
     m.trace_id = tr->flow_begin(
         sim::Tracer::compute_track(id_), "msg",
-        msg_label(*tr, "tx", static_cast<MsgType>(m.type)),
+        msg_label(true, m.type),
         task.now() - cluster_.costs().msg_send_overhead, task.now());
   }
   cluster_.transmit(task.now(), std::move(m));
@@ -281,7 +277,7 @@ void Node::send_from_handler(HandlerClock& clk, sim::Message m) {
   if (auto* tr = cluster_.tracer()) {
     m.trace_id = tr->flow_begin(
         sim::Tracer::protocol_track(id_), "msg",
-        msg_label(*tr, "tx", static_cast<MsgType>(m.type)),
+        msg_label(true, m.type),
         clk.t - cluster_.costs().msg_send_overhead, clk.t);
   }
   cluster_.transmit(clk.t, std::move(m));
@@ -336,8 +332,7 @@ void Node::execute_one_handler() {
   // next block/chunk producer reuses it instead of allocating.
   cluster_.payload_pool().release(std::move(pm.msg.payload));
   if (auto* tr = cluster_.tracer()) {
-    const char* name =
-        msg_label(*tr, "h", static_cast<MsgType>(pm.msg.type));
+    const char* name = msg_label(false, pm.msg.type);
     if (pm.msg.trace_id != 0)
       tr->flow_end(pm.msg.trace_id, sim::Tracer::protocol_track(id_), "msg",
                    name, h_start, clk.t);
@@ -358,16 +353,7 @@ void Node::barrier(sim::Task& task) {
   if (protocol != nullptr) protocol->drain(*this, task);
   task.charge(cluster_.costs().barrier_local_cost);
   if (cluster_.nnodes() > 1) {
-    if (cluster_.config().collectives != Collectives::kFlat) {
-      cluster_.tree_self_arrived[static_cast<std::size_t>(id_)] = 1;
-      cluster_.tree_barrier_step(
-          id_, task.now(), [&](sim::Message m) { send(task, std::move(m)); });
-    } else {
-      sim::Message m;
-      m.dst = 0;
-      m.type = static_cast<std::uint16_t>(MsgType::kBarrierArrive);
-      send(task, std::move(m));
-    }
+    cluster_.arrive_barrier(*this, task);
     barrier_sem.wait(task);
     // The coherence check itself happens at the barrier's completion point
     // (the last arrival at the root — see Cluster), not here: by the time a
@@ -408,23 +394,7 @@ double Node::allreduce(sim::Task& task, double v, ReduceOp op) {
     stats.sync_ns += task.now() - t0;
     return v;
   }
-  if (cluster_.config().collectives != Collectives::kFlat) {
-    const std::size_t id = static_cast<std::size_t>(id_);
-    cluster_.tree_red_op[id] = static_cast<int>(op);
-    // Own value only; child contributions live in tree_red_contrib slots
-    // and tree_reduce_step folds everything in a fixed order.
-    cluster_.tree_partial[id] = v;
-    cluster_.tree_red_self[id] = 1;
-    cluster_.tree_reduce_step(
-        id_, task.now(), [&](sim::Message m) { send(task, std::move(m)); });
-  } else {
-    sim::Message m;
-    m.dst = 0;
-    m.type = static_cast<std::uint16_t>(MsgType::kReduceUp);
-    m.arg[0] = std::bit_cast<std::int64_t>(v);
-    m.arg[1] = static_cast<std::int64_t>(op);
-    send(task, std::move(m));
-  }
+  cluster_.arrive_reduce(*this, task, v, static_cast<int>(op));
   reduce_sem.wait(task);
   stats.sync_ns += task.now() - t0;
   if (auto* tr = cluster_.tracer())

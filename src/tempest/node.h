@@ -1,12 +1,12 @@
-// One cluster node: a full backing copy of the global shared segment,
-// per-block fine-grain access tags, compute + protocol resources, and the
-// active-message plumbing. This is the Tempest substrate a coherence
-// protocol (src/proto) and the compiler-directed runtime (src/core) build on.
+// One cluster node: a full, lazily committed backing copy of the global
+// shared segment, per-block fine-grain access tags, compute + protocol
+// resources, and the active-message plumbing. This is the Tempest substrate
+// a coherence protocol (src/proto) and the compiler-directed runtime
+// (src/core) build on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -38,9 +38,6 @@ class Node {
   // the cluster finalizes allocation (Cluster::run).
   std::byte* mem(GAddr a);
   const std::byte* mem(GAddr a) const;
-  // Bytes of this node's segment backing the OS has actually committed
-  // (resident pages). Scaling diagnostics; 0 when unsupported.
-  std::size_t resident_mem_bytes() const;
   template <typename T>
   T* ptr(GAddr a) {
     return reinterpret_cast<T*>(mem(a));
@@ -173,28 +170,31 @@ class Node {
   void schedule_next_handler(sim::Time earliest);
   void execute_one_handler();
 
-  // Zero-initialized buffer backed by calloc: for multi-megabyte segments
-  // the allocator hands back untouched kernel zero pages, so physical
-  // memory is committed only where the run actually reads or writes. Every
-  // node "backs the whole segment", but a 1024-node cluster must not pay
-  // 1024 eager copies of it — the old vector's value-initialization wrote
-  // (and thus committed) every byte up front.
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
+  // A zero-filled array in its own anonymous mapping, released by munmap.
+  // The kernel commits a page only when the run first touches it, so every
+  // node can back the whole segment while a 1024-node cluster pays only for
+  // the pages its nodes actually use. Unlike a heap block, the mapping stays
+  // lazy whatever the allocator did with an earlier simulation's memory in
+  // the same process.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(void* p) const;
   };
   template <typename T>
-  using ZeroBuf = std::unique_ptr<T[], FreeDeleter>;
+  using ZeroMap = std::unique_ptr<T[], Unmap>;
+  static void* map_zeroed(std::size_t bytes);  // null for 0 bytes
   template <typename T>
-  static ZeroBuf<T> make_zero_buf(std::size_t n) {
-    return ZeroBuf<T>(static_cast<T*>(std::calloc(n ? n : 1, sizeof(T))));
+  static ZeroMap<T> make_zero_map(std::size_t n) {
+    return ZeroMap<T>(static_cast<T*>(map_zeroed(n * sizeof(T))),
+                      Unmap{n * sizeof(T)});
   }
 
   Cluster& cluster_;
   int id_;
   bool dual_cpu_ = true;
-  ZeroBuf<std::byte> mem_;   // contiguous: handlers memcpy via raw mem()
+  ZeroMap<std::byte> mem_;   // contiguous: handlers memcpy via raw mem()
   std::size_t mem_bytes_ = 0;
-  ZeroBuf<Access> tags_;     // zero == kInvalid, the non-home default
+  ZeroMap<Access> tags_;     // zero == kInvalid, the non-home default
   std::size_t ntags_ = 0;
   sim::Resource cpu_res_;
   sim::Resource proto_res_;

@@ -9,12 +9,15 @@
 //     channel with three active links holds three link books, not 65536);
 //   - the directory's SharerSet keeps the historic one-word fast path for
 //     nodes 0-63 and spills above it without changing iteration order;
+//   - node memory is committed lazily however the allocator recycled an
+//     earlier simulation's: later runs in one process peak no higher;
 //   - whole-application runs at 64 and 256 nodes are bit-identical across
 //     --sim-threads={1,4} and host-parallel batch execution, fault-free and
 //     under chaos (the determinism contract does not erode with scale),
 //     including when four real partition workers share the run's plan
 //     store.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <string>
@@ -233,8 +236,8 @@ void expect_identical(const exec::RunResult& a, const exec::RunResult& b,
 
 TEST(ScaleDeterminism, SixtyFourNodesAcrossSimThreadsJobsAndChaos) {
   const auto prog = apps::jacobi(128, 3);
-  for (const Collectives topo :
-       {Collectives::kBinomial, Collectives::kTwoLevel}) {
+  for (const Collectives topo : {Collectives::kFlat, Collectives::kBinomial,
+                                 Collectives::kTwoLevel}) {
     const std::string t = tempest::to_string(topo);
     const exec::RunResult st1 = exec::run(prog, cfg(64, topo, 1, false));
     const exec::RunResult st4 = exec::run(prog, cfg(64, topo, 4, false));
@@ -259,6 +262,41 @@ TEST(ScaleDeterminism, SixtyFourNodesAcrossSimThreadsJobsAndChaos) {
     expect_identical(st1, batch[0], t + " jobs=4 fault-free");
     expect_identical(ch1, batch[1], t + " jobs=4 chaos");
   }
+}
+
+// ---- Node memory across simulations in one process ----
+
+// The scale sweep's 64-node jacobi and spmv (default --scale), run three
+// times in one process as `fgdsm-bench scale --reps=3` does. Every node
+// backs the whole shared segment in its own lazily committed mapping, so
+// each later pass commits what the first did and the process peak stays
+// put. Segments taken from the heap came back recycled and were committed
+// in full: the peak rose from 17 MB after one pass to 186 MB after three.
+TEST(NodeMemory, LaterSimulationsInOneProcessPeakNoHigher) {
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan holds freed heap blocks in its quarantine (256 MB by default), so
+  // the peak would measure the sanitizer's allocator, not node memory.
+  GTEST_SKIP() << "peak RSS under ASan includes its heap quarantine";
+#endif
+  const auto peak_mb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+  };
+  const hpf::Program progs[] = {apps::jacobi(38 * 8, 8),
+                                apps::spmv(307 * 64, 8, 4, /*pattern=*/0)};
+  const auto pass = [&] {
+    for (const hpf::Program& p : progs)
+      exec::run(p, cfg(64, Collectives::kBinomial, 1, false));
+  };
+  pass();
+  const double first = peak_mb();
+  pass();
+  pass();
+  const double third = peak_mb();
+  EXPECT_LE(third - first, 8.0) << "peak RSS " << first
+                                << " MB after one pass, " << third
+                                << " MB after three";
 }
 
 TEST(ScaleDeterminism, TwoFiftySixNodesAcrossSimThreadsAndChaos) {

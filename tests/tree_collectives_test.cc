@@ -22,6 +22,9 @@ ClusterConfig cfg(int nnodes, Collectives topo, int group = 0) {
 const Collectives kTreeShapes[] = {Collectives::kBinary,
                                    Collectives::kBinomial,
                                    Collectives::kTwoLevel};
+const Collectives kAllShapes[] = {Collectives::kFlat, Collectives::kBinary,
+                                  Collectives::kBinomial,
+                                  Collectives::kTwoLevel};
 
 // The old implementation was a binary tree while its comments claimed
 // "binomial" — pin down both shapes explicitly at a non-power-of-two node
@@ -120,7 +123,7 @@ TEST(TreeCollectives, ShapesAreSpanningTrees) {
 }
 
 TEST(TreeCollectives, BarrierSynchronizes) {
-  for (Collectives topo : kTreeShapes) {
+  for (Collectives topo : kAllShapes) {
     for (int nnodes : {2, 3, 5, 8}) {
       Cluster c(cfg(nnodes, topo));
       c.allocate("pad", 64);
@@ -169,6 +172,33 @@ TEST(TreeCollectives, ReduceMatchesCentralized) {
       EXPECT_NEAR(central, results[0], 1e-12 * (1.0 + std::abs(central)))
           << to_string(topo);
     }
+  }
+}
+
+// The paper's coordinator reaches itself by loopback: under kFlat node 0
+// sends its own arrival and contribution to itself and hears its own
+// release and result, like every other node. Per collective it therefore
+// sends 1 + n messages (its own, then one to each node), and the
+// synchronization times below were recorded from the separate flat handler
+// set this walk replaced.
+TEST(TreeCollectives, FlatRootMessagesItself) {
+  const int n = 8;
+  Cluster c(cfg(n, Collectives::kFlat));
+  c.allocate("pad", 64);
+  std::vector<double> sums(n);
+  const util::RunStats rs = c.run([&](Node& nd, sim::Task& t) {
+    t.charge(1000 * (nd.id() + 1));
+    nd.barrier(t);
+    t.charge(500 * (n - nd.id()));
+    sums[nd.id()] = nd.allreduce(t, nd.id() + 0.5);
+  });
+  EXPECT_EQ(rs.node[0].messages_sent, 2u * (1 + n));
+  for (int i = 1; i < n; ++i) EXPECT_EQ(rs.node[i].messages_sent, 2u);
+  const std::vector<std::int64_t> sync_ns = {169900, 156200, 159700, 163200,
+                                            166700, 170200, 173700, 177200};
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(rs.node[i].sync_ns, sync_ns[i]) << "node " << i;
+    EXPECT_EQ(sums[i], 32.0) << "node " << i;
   }
 }
 
